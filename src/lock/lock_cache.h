@@ -12,47 +12,46 @@
 
 namespace slidb {
 
-/// Open-addressing hash map sized for OLTP transactions (tens of locks).
-/// Spills to a linear-scan overflow vector rather than rehashing so that
-/// entries are stable for the duration of a transaction.
+/// Open-addressing hash map with linear probing. It starts at kSlots and
+/// doubles (rehashing live entries, dropping tombstones) before an insert
+/// could take live entries plus tombstones past half its capacity, so
+/// every probe ends at an empty slot and a lock costs O(1) however many
+/// the transaction already holds. Callers keep only the LockRequest*,
+/// never a slot, so rehashing mid-transaction is safe.
 ///
 /// Clear() is O(1): every entry is stamped with the generation it was
 /// written in, and clearing just bumps the cache's generation — stale-
 /// generation slots read as empty. A long-lived agent thus pays per lock
-/// touched, not kSlots per transaction.
+/// touched, not per slot per transaction. A table that grew goes back to
+/// kSlots there, so small transactions keep probing a compact table.
 class LockCache {
  public:
-  static constexpr size_t kSlots = 256;  // power of two
+  static constexpr size_t kSlots = 256;  // initial capacity, a power of two
 
-  LockCache() = default;
+  LockCache() : slots_(kSlots) {}
 
   LockRequest* Find(const LockId& id) const {
-    size_t i = id.Hash() & (kSlots - 1);
-    for (size_t probes = 0; probes < kMaxProbes; ++probes) {
+    for (size_t i = Home(id);; i = Next(i)) {
       const Entry& e = slots_[i];
       if (Empty(e)) return nullptr;
       if (e.id == id) return e.req;
-      i = (i + 1) & (kSlots - 1);
     }
-    for (const Entry& e : overflow_) {
-      if (e.id == id) return e.req;
-    }
-    return nullptr;
   }
 
   void Insert(const LockId& id, LockRequest* req) {
-    size_t i = id.Hash() & (kSlots - 1);
+    if (2 * (used_ + 1) > slots_.size()) Grow();
     // Remember the first tombstone on the probe path: if `id` is not
     // already present we reuse it, so probe chains shrink back after Erase
     // instead of growing monotonically over a long-lived agent's life.
     Entry* reuse = nullptr;
-    for (size_t probes = 0; probes < kMaxProbes; ++probes) {
+    for (size_t i = Home(id);; i = Next(i)) {
       Entry& e = slots_[i];
       if (Empty(e)) {
-        Entry& dst = reuse != nullptr ? *reuse : e;
-        dst.id = id;
-        dst.req = req;
-        dst.gen = gen_;
+        if (reuse == nullptr) {
+          reuse = &e;
+          ++used_;
+        }
+        *reuse = Entry{id, req, gen_};
         return;
       }
       if (e.id == id) {
@@ -60,41 +59,19 @@ class LockCache {
         return;
       }
       if (reuse == nullptr && e.req == kTombstone()) reuse = &e;
-      i = (i + 1) & (kSlots - 1);
     }
-    for (Entry& e : overflow_) {
-      if (e.id == id) {
-        e.req = req;
-        return;
-      }
-    }
-    if (reuse != nullptr) {
-      reuse->id = id;
-      reuse->req = req;
-      reuse->gen = gen_;
-      return;
-    }
-    overflow_.push_back(Entry{id, req, gen_});
   }
 
   /// Remove the entry for `id` (used when a reclaim attempt finds the
-  /// inherited request invalidated). Tombstones via re-probe shuffle are
-  /// avoided by marking the request pointer dead with a sentinel.
+  /// inherited request invalidated). The slot becomes a tombstone so probe
+  /// chains running through it stay intact.
   void Erase(const LockId& id) {
-    size_t i = id.Hash() & (kSlots - 1);
-    for (size_t probes = 0; probes < kMaxProbes; ++probes) {
+    for (size_t i = Home(id);; i = Next(i)) {
       Entry& e = slots_[i];
       if (Empty(e)) return;
       if (e.id == id) {
         e.req = kTombstone();
         e.id = TombstoneId();
-        return;
-      }
-      i = (i + 1) & (kSlots - 1);
-    }
-    for (auto it = overflow_.begin(); it != overflow_.end(); ++it) {
-      if (it->id == id) {
-        overflow_.erase(it);
         return;
       }
     }
@@ -103,10 +80,13 @@ class LockCache {
   /// O(1): entries written in earlier generations read as empty.
   void Clear() {
     ++gen_;
-    overflow_.clear();
+    used_ = 0;
+    if (slots_.size() != kSlots) slots_ = std::vector<Entry>(kSlots);
   }
 
   // ---- introspection (tests/stats) ----
+
+  size_t Capacity() const { return slots_.size(); }
 
   /// Slots holding a live entry (tombstones and stale generations excluded).
   size_t LiveSlots() const {
@@ -126,8 +106,6 @@ class LockCache {
     return n;
   }
 
-  size_t OverflowSize() const { return overflow_.size(); }
-
   uint64_t generation() const { return gen_; }
 
  private:
@@ -137,15 +115,30 @@ class LockCache {
     uint64_t gen = 0;  ///< generation the entry was written in
   };
 
+  size_t Home(const LockId& id) const {
+    return id.Hash() & (slots_.size() - 1);
+  }
+  size_t Next(size_t i) const { return (i + 1) & (slots_.size() - 1); }
+
   /// A slot is empty if it was never written or was written in a cleared
   /// (earlier) generation.
   bool Empty(const Entry& e) const {
     return e.req == nullptr || e.gen != gen_;
   }
 
+  /// Double the table and re-insert the live entries; tombstones die here.
+  void Grow() {
+    std::vector<Entry> old(2 * slots_.size());
+    old.swap(slots_);
+    used_ = 0;
+    for (const Entry& e : old) {
+      if (!Empty(e) && e.req != kTombstone()) Insert(e.id, e.req);
+    }
+  }
+
   // A tombstone keeps probe chains intact after Erase. Find() treats it as
   // a mismatch (its id was cleared); Insert() reuses the first tombstone on
-  // its probe path once it has proven the key absent from the window.
+  // its probe path once it has proven the key absent.
   static LockRequest* kTombstone() {
     return reinterpret_cast<LockRequest*>(static_cast<uintptr_t>(1));
   }
@@ -159,10 +152,8 @@ class LockCache {
     return id;
   }
 
-  static constexpr size_t kMaxProbes = 32;
-
-  Entry slots_[kSlots];
-  std::vector<Entry> overflow_;
+  std::vector<Entry> slots_;
+  size_t used_ = 0;   ///< current-generation live entries plus tombstones
   uint64_t gen_ = 1;  ///< entries stamped 0 (default) are always empty
 };
 

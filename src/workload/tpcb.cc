@@ -149,9 +149,9 @@ bool TpcbWorkload::CheckBalanceInvariant(Database& db, AgentContext& agent,
   int64_t at = 0, tt = 0, bt = 0;
   for (uint32_t b = 0; b < options_.branches; ++b) {
     uint64_t rid;
-    if (!db.IndexLookup(branch_pk_, b, &rid).ok()) return false;
     Branch branch;
-    if (!db.Read(&agent, branch_table_, Rid::FromU64(rid), &branch,
+    if (!db.IndexLookup(branch_pk_, b, &rid).ok() ||
+        !db.Read(&agent, branch_table_, Rid::FromU64(rid), &branch,
                  sizeof(branch))
              .ok()) {
       db.Abort(&agent);
@@ -162,9 +162,9 @@ bool TpcbWorkload::CheckBalanceInvariant(Database& db, AgentContext& agent,
   const uint32_t tellers = options_.branches * options_.tellers_per_branch;
   for (uint32_t t = 0; t < tellers; ++t) {
     uint64_t rid;
-    if (!db.IndexLookup(teller_pk_, t, &rid).ok()) return false;
     Teller teller;
-    if (!db.Read(&agent, teller_table_, Rid::FromU64(rid), &teller,
+    if (!db.IndexLookup(teller_pk_, t, &rid).ok() ||
+        !db.Read(&agent, teller_table_, Rid::FromU64(rid), &teller,
                  sizeof(teller))
              .ok()) {
       db.Abort(&agent);
@@ -176,9 +176,9 @@ bool TpcbWorkload::CheckBalanceInvariant(Database& db, AgentContext& agent,
                             options_.accounts_per_branch;
   for (uint64_t a = 0; a < accounts; ++a) {
     uint64_t rid;
-    if (!db.IndexLookup(account_pk_, a, &rid).ok()) return false;
     Account acct;
-    if (!db.Read(&agent, account_table_, Rid::FromU64(rid), &acct,
+    if (!db.IndexLookup(account_pk_, a, &rid).ok() ||
+        !db.Read(&agent, account_table_, Rid::FromU64(rid), &acct,
                  sizeof(acct))
              .ok()) {
       db.Abort(&agent);

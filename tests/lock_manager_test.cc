@@ -434,7 +434,38 @@ TEST_F(LockManagerTest, ManyDistinctLocksStressHashTable) {
     }
   }
   EXPECT_GE(lm_.table().CountHeads(), 1000u);
+  const size_t high_level_heads = lm_.table().CountHeads();
+
+  // Row level: 20,000 X locks in the same transaction, far more than the
+  // lock cache's initial kSlots. Each page and table upgrades IS -> IX.
+  constexpr uint32_t kRowsPerPage = 20;
+  constexpr uint64_t kRows = 50 * 20 * kRowsPerPage;
+  auto lock_rows = [&] {
+    for (uint32_t t = 1; t <= 50; ++t) {
+      for (uint64_t p = 0; p < 20; ++p) {
+        for (uint32_t r = 0; r < kRowsPerPage; ++r) {
+          ASSERT_TRUE(
+              lm_.Lock(&c, LockId::Row(0, t, p, r), LockMode::kX).ok());
+        }
+      }
+    }
+  };
+  lock_rows();
+  EXPECT_EQ(lm_.table().CountHeads(), high_level_heads + kRows);
+  EXPECT_GT(c.cache().Capacity(), LockCache::kSlots);
+
+  // Re-acquiring every row is answered by the cache alone.
+  CounterSet counters;
+  {
+    ScopedCounterSet routed(&counters);
+    lock_rows();
+  }
+  EXPECT_EQ(counters.Get(Counter::kLockRequests), 0u);
+  EXPECT_EQ(counters.Get(Counter::kLockCacheHits), kRows);
+
   lm_.ReleaseAll(&c, nullptr, false);
+  // Row heads are reclaimed; db/table/page heads persist for hot tracking.
+  EXPECT_EQ(lm_.table().CountHeads(), high_level_heads);
   lm_.table().ForEachHead([](LockHead* h) { EXPECT_TRUE(h->QueueEmpty()); });
 }
 

@@ -3,6 +3,8 @@
 // inheritance list.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/lock/agent_sli.h"
 #include "src/lock/lock_cache.h"
 #include "src/lock/lock_client.h"
@@ -48,22 +50,38 @@ TEST(LockCacheTest, EraseRemovesWithoutBreakingProbes) {
 }
 
 TEST(LockCacheTest, ClearEmptiesEverything) {
+  // Shrinking back to kSlots at Clear() must not resurrect entries from
+  // the grown generation, nor lose the next generation's entries.
   LockCache cache;
-  LockRequest reqs[400];  // spills into the overflow vector
+  LockRequest reqs[400];  // more than half of kSlots: the table grows
   for (uint32_t i = 0; i < 400; ++i) {
     cache.Insert(LockId::Row(0, 9, i, 0), &reqs[i]);
   }
+  EXPECT_GT(cache.Capacity(), LockCache::kSlots);
+  const uint64_t gen = cache.generation();
   cache.Clear();
+  EXPECT_EQ(cache.generation(), gen + 1);
+  EXPECT_EQ(cache.Capacity(), LockCache::kSlots);
+  EXPECT_EQ(cache.LiveSlots(), 0u);
   for (uint32_t i = 0; i < 400; ++i) {
     EXPECT_EQ(cache.Find(LockId::Row(0, 9, i, 0)), nullptr);
+  }
+  // Growing again in the new generation starts from a clean table.
+  for (uint32_t i = 0; i < 400; ++i) {
+    cache.Insert(LockId::Row(0, 9, i, 1), &reqs[i]);
+  }
+  EXPECT_EQ(cache.LiveSlots(), 400u);
+  for (uint32_t i = 0; i < 400; ++i) {
+    EXPECT_EQ(cache.Find(LockId::Row(0, 9, i, 0)), nullptr);
+    EXPECT_EQ(cache.Find(LockId::Row(0, 9, i, 1)), &reqs[i]);
   }
 }
 
 TEST(LockCacheTest, InsertReusesTombstonedSlots) {
   // Erase/Insert cycles of the same id must not grow the probe chain: the
   // tombstone left by Erase is reclaimed by the next Insert. Before the
-  // fix, each cycle leaked one tombstone and probe chains (then overflow)
-  // grew monotonically in long-lived agents.
+  // fix, each cycle leaked one tombstone and probe chains grew
+  // monotonically in long-lived agents.
   LockCache cache;
   LockRequest r;
   const LockId id = LockId::Page(0, 7, 11);
@@ -75,7 +93,7 @@ TEST(LockCacheTest, InsertReusesTombstonedSlots) {
   }
   EXPECT_EQ(cache.LiveSlots(), 0u);
   EXPECT_LE(cache.TombstoneSlots(), 1u);
-  EXPECT_EQ(cache.OverflowSize(), 0u);
+  EXPECT_EQ(cache.Capacity(), LockCache::kSlots);
 }
 
 TEST(LockCacheTest, TombstoneReuseKeepsCollidingChainsIntact) {
@@ -169,6 +187,76 @@ TEST(LockCacheTest, DatabaseZeroIdIsNotConfusedWithEmptySlots) {
   EXPECT_EQ(cache.Find(LockId::Database(0)), &r);
   cache.Erase(LockId::Database(0));
   EXPECT_EQ(cache.Find(LockId::Database(0)), nullptr);
+}
+
+TEST(LockCacheTest, GrowsToHoldLargeTransactions) {
+  // A loader or an audit holds tens of thousands of row locks; every one
+  // must stay reachable as the table doubles past kSlots.
+  constexpr uint32_t kN = 20'000;
+  LockCache cache;
+  std::vector<LockRequest> reqs(kN);
+  for (uint32_t i = 0; i < kN; ++i) {
+    cache.Insert(LockId::Row(0, 4, i / 50, i % 50), &reqs[i]);
+  }
+  EXPECT_GE(cache.Capacity(), 2 * kN);
+  EXPECT_EQ(cache.LiveSlots(), kN);
+  for (uint32_t i = 0; i < kN; ++i) {
+    ASSERT_EQ(cache.Find(LockId::Row(0, 4, i / 50, i % 50)), &reqs[i]) << i;
+  }
+  EXPECT_EQ(cache.Find(LockId::Row(0, 4, kN, 0)), nullptr);
+}
+
+TEST(LockCacheTest, EraseAndReinsertAcrossADoubling) {
+  // Tombstones left by Erase must not hide ids placed after them, and a
+  // doubling must carry every live entry (and no erased one) over.
+  constexpr uint32_t kBefore = 119;  // 7 * 17, just under half of kSlots
+  constexpr uint32_t kAfter = 602;   // 7 * 86, forces two doublings
+  LockCache cache;
+  std::vector<LockRequest> reqs(kAfter);
+  std::vector<LockRequest> again(kAfter);
+  auto id = [](uint32_t i) { return LockId::Page(0, 6, i); };
+  auto check = [&](uint32_t n, bool reinserted) {
+    for (uint32_t i = 0; i < n; ++i) {
+      LockRequest* want = &reqs[i];
+      if (i % 7 == 0) want = reinserted ? &again[i] : nullptr;
+      ASSERT_EQ(cache.Find(id(i)), want) << i;
+    }
+  };
+  for (uint32_t i = 0; i < kBefore; ++i) cache.Insert(id(i), &reqs[i]);
+  for (uint32_t i = 0; i < kBefore; i += 7) cache.Erase(id(i));
+  check(kBefore, false);
+  ASSERT_EQ(cache.Capacity(), LockCache::kSlots);
+
+  for (uint32_t i = kBefore; i < kAfter; ++i) cache.Insert(id(i), &reqs[i]);
+  for (uint32_t i = kBefore; i < kAfter; i += 7) cache.Erase(id(i));
+  EXPECT_GT(cache.Capacity(), LockCache::kSlots);
+  check(kAfter, false);
+
+  for (uint32_t i = 0; i < kAfter; i += 7) cache.Insert(id(i), &again[i]);
+  check(kAfter, true);
+  EXPECT_EQ(cache.LiveSlots(), kAfter);
+}
+
+TEST(LockCacheTest, TombstoneChurnStillEndsInAMiss) {
+  // Insert/erase more distinct ids than the table has slots: every slot a
+  // probe passes could end up a tombstone. Tombstones count toward the
+  // half-full bound, so the table rehashes them away and a probe for an
+  // absent id still reaches an empty slot instead of cycling forever.
+  LockCache cache;
+  LockRequest r;
+  constexpr uint32_t kIds = 4 * LockCache::kSlots;
+  for (uint32_t i = 0; i < kIds; ++i) {
+    cache.Insert(LockId::Page(0, 5, i), &r);
+    cache.Erase(LockId::Page(0, 5, i));
+  }
+  EXPECT_EQ(cache.LiveSlots(), 0u);
+  EXPECT_GT(cache.TombstoneSlots(), 0u);
+  EXPECT_LE(2 * cache.TombstoneSlots(), cache.Capacity());
+  EXPECT_GT(cache.Capacity(), LockCache::kSlots);
+  for (uint32_t i = 0; i < kIds; ++i) {
+    ASSERT_EQ(cache.Find(LockId::Page(0, 5, i)), nullptr) << i;
+  }
+  EXPECT_EQ(cache.Find(LockId::Page(0, 5, kIds)), nullptr);
 }
 
 TEST(HotTrackerTest, WindowedThreshold) {

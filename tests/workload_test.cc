@@ -162,6 +162,64 @@ TEST(TpcbTest, BalanceInvariantSingleThread) {
       << "a=" << at << " t=" << tt << " b=" << bt;
 }
 
+TEST(TpcbTest, AuditOfManyAccountsRunsInOneTransaction) {
+  // 20,000 account row locks in one transaction: far past the lock cache's
+  // initial kSlots, so the audit only finishes if a lock stays O(1).
+  Database db(SmallDbOptions(false));
+  TpcbOptions opts;
+  opts.branches = 2;
+  opts.tellers_per_branch = 5;
+  opts.accounts_per_branch = 10'000;
+  TpcbWorkload tpcb(opts);
+  tpcb.Load(db);
+  auto agent = db.CreateAgent(7);
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_TRUE(tpcb.RunOne(db, *agent).ok());
+  }
+
+  CounterSet counters;
+  int64_t at, tt, bt;
+  {
+    ScopedCounterSet routed(&counters);
+    EXPECT_TRUE(tpcb.CheckBalanceInvariant(db, *agent, &at, &tt, &bt))
+        << "a=" << at << " t=" << tt << " b=" << bt;
+  }
+  EXPECT_GE(counters.Get(Counter::kLockRequests), 20'000u);
+}
+
+TEST(TpcbTest, FailedAuditReleasesItsLocks) {
+  // An audit that cannot find a row must abort, not leave its S locks on
+  // every branch and teller behind for the next writer to time out on.
+  Database db(SmallDbOptions(false));
+  TpcbOptions opts;
+  opts.branches = 2;
+  opts.tellers_per_branch = 5;
+  opts.accounts_per_branch = 100;
+  TpcbWorkload tpcb(opts);
+  tpcb.Load(db);
+  IndexId a_pk = 0;
+  while (db.catalog().index(a_pk).name != "a_pk") ++a_pk;
+
+  auto auditor = db.CreateAgent(5);
+  auto writer = db.CreateAgent(6);
+  const uint64_t missing = 150;
+  uint64_t rid;
+  ASSERT_TRUE(db.IndexLookup(a_pk, missing, &rid).ok());
+  db.Begin(writer.get());
+  ASSERT_TRUE(db.IndexRemove(writer.get(), a_pk, missing, rid).ok());
+  ASSERT_TRUE(db.Commit(writer.get()).ok());
+
+  int64_t at, tt, bt;
+  EXPECT_FALSE(tpcb.CheckBalanceInvariant(db, *auditor, &at, &tt, &bt));
+
+  // Put the entry back so the writer may draw any account.
+  db.Begin(writer.get());
+  ASSERT_TRUE(db.IndexInsert(writer.get(), a_pk, missing, rid).ok());
+  ASSERT_TRUE(db.Commit(writer.get()).ok());
+  const Status st = tpcb.RunOne(db, *writer);
+  EXPECT_TRUE(st.ok()) << st.ToString();
+}
+
 class TpcbSliSweep : public ::testing::TestWithParam<bool> {};
 
 TEST_P(TpcbSliSweep, BalanceInvariantUnderConcurrency) {
