@@ -33,7 +33,9 @@ inline DatabaseOptions BenchDbOptions(bool sli) {
   // Simulate the queue-traversal cost of a loaded many-context machine
   // (DESIGN.md substitution; SimQueueWorkNs() reads the --sim=NS flag).
   o.lock.sim_queue_work_ns = SimQueueWorkNs();
-  o.log.flush_interval_us = 10;  // responsive group commit
+  // Committers harden the log themselves; the background pass only settles
+  // speculative acks, so a short cadence keeps their settle latency low.
+  o.log.flush_interval_us = 10;
   o.buffer.num_frames = 1u << 15;  // 256 MB
   return o;
 }

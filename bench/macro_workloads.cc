@@ -1,22 +1,18 @@
 // Macro benchmark for the decentralized commit pipeline.
 //
 // Section 1 — raw log-append throughput: N writer threads hammering
-// LogManager::Append, latch-free reservation vs the legacy single-latch
-// path, plus the batched row (LogStagingBuffer + AppendBatch, 32 sealed
-// records per ring reservation — the transaction-staging publish path).
-// On a many-context machine this shows the append-latch serialization
-// directly; on a single-context host the latch cannot convoy, so treat
-// the latched-vs-reserve comparison as trajectory numbers. The batched
-// row is meaningful everywhere: it amortizes per-record fixed costs that
-// exist even on one core.
+// LogManager::Append (latch-free reservation, one record per ticket) vs
+// the batched row (LogStagingBuffer + AppendBatch, 32 sealed records per
+// ring reservation — the transaction-staging publish path), which
+// amortizes per-record fixed costs that exist even on one core.
 //
 // Section 2 — commit pipeline end-to-end (the headline): TPC-B and the
 // TM1 full mix with a realistic log-device latency charged per flush,
-// comparing the legacy pipeline (latched append + broadcast wakeup +
-// locks held across the durable wait) against the decentralized one
-// (latch-free reservation + consolidated group commit + early lock
-// release). This is where removing the commit I/O from the lock critical
-// path becomes visible at the workload level.
+// comparing the legacy pipeline (per-record appends, locks held across the
+// durable wait) against the decentralized one (staged appends + early lock
+// release) and the speculative one. Every row reports the flushes and
+// commits per flush of its measurement window: under a slow device,
+// leader/follower group commit must still batch.
 //
 // Section 3 — SLI matrix: the same workloads through RunWorkload at an
 // agent ladder, SLI off and on, on the new pipeline.
@@ -58,12 +54,10 @@ struct LogAppendSample {
 /// transaction-staging path, minus the transaction). Records at or below
 /// the 64-byte wire bound additionally publish under kBatchSeal envelopes
 /// — one CRC per run instead of one per record.
-LogAppendSample RunLogAppend(const char* label, LogOptions::AppendMode mode,
-                             int threads, double duration_s,
-                             uint32_t payload_bytes,
+LogAppendSample RunLogAppend(const char* label, int threads,
+                             double duration_s, uint32_t payload_bytes,
                              uint32_t batch_records = 0) {
   LogOptions o;
-  o.append_mode = mode;
   o.flush_interval_us = 10;
   LogManager log(o);
 
@@ -138,6 +132,8 @@ struct WorkloadSample {
   uint64_t early_release = 0;
   uint64_t resv_retries = 0;
   uint64_t gc_woken = 0;
+  uint64_t flushes = 0;            ///< log flushes in the measured window
+  double commits_per_flush = 0;
   uint64_t spec_reads = 0;     ///< dependency-horizon captures at acquire
   uint64_t deferred_acks = 0;  ///< commits parked on the settlement queue
   double log_pct = 0;
@@ -164,6 +160,11 @@ WorkloadSample RunWorkloadPoint(PaperWorkload& pw, const char* config,
   s.early_release = r.counters.Get(Counter::kTxnEarlyRelease);
   s.resv_retries = r.counters.Get(Counter::kLogResvRetries);
   s.gc_woken = r.counters.Get(Counter::kGroupCommitWaitersWoken);
+  s.flushes = r.log_flushes;
+  if (s.flushes > 0) {
+    s.commits_per_flush =
+        static_cast<double>(s.commits) / static_cast<double>(s.flushes);
+  }
   s.spec_reads = r.counters.Get(Counter::kTxnSpecReads);
   s.deferred_acks = r.counters.Get(Counter::kTxnDeferredAcks);
   s.log_pct = ComputeBreakdown(r.profile).log_pct;
@@ -171,9 +172,9 @@ WorkloadSample RunWorkloadPoint(PaperWorkload& pw, const char* config,
 }
 
 /// A fresh database + loaded workload with the commit pipeline configured
-/// as "legacy" (single-latch append, broadcast wakeups, locks held until
-/// durable), "decentralized" (the new defaults: ELR + synchronous horizon
-/// waits) or "speculative" (decentralized + asynchronous commit
+/// as "legacy" (per-record appends, locks held until durable),
+/// "decentralized" (the defaults: staged appends + ELR + synchronous
+/// horizon waits) or "speculative" (decentralized + asynchronous commit
 /// dependencies — commits park deferred acks instead of stalling).
 std::unique_ptr<PaperWorkload> MakeConfigured(const char* which,
                                               const char* config, bool sli,
@@ -181,8 +182,6 @@ std::unique_ptr<PaperWorkload> MakeConfigured(const char* which,
   DatabaseOptions o = BenchDbOptions(sli);
   o.log.simulated_io_delay_us = kLogIoDelayUs;
   if (std::strcmp(config, "legacy") == 0) {
-    o.log.append_mode = LogOptions::AppendMode::kLatched;
-    o.log.waiter_policy = LogOptions::WaiterPolicy::kBroadcast;
     o.txn.early_lock_release = false;
     o.txn.staged_log_appends = false;  // per-record appends, PR-2 baseline
   } else if (std::strcmp(config, "speculative") == 0) {
@@ -219,7 +218,7 @@ int Main(int argc, char** argv) {
     if (agent_ladder.empty()) agent_ladder = {args.max_threads};
   }
 
-  // ---- Section 1: raw log append, latched vs reserve vs batched ------------
+  // ---- Section 1: raw log append, per-record vs batched --------------------
   // 96-byte payloads (the historical rows) and 16-byte "tiny" payloads,
   // where the 32-byte header + per-record seal dominate and the batched
   // path's kBatchSeal envelopes amortize the checksum across whole runs.
@@ -238,24 +237,18 @@ int Main(int argc, char** argv) {
                    Fmt("%.1f", s.records_per_batch)});
   };
   for (int threads : agent_ladder) {
-    add_log_row(RunLogAppend("latched", LogOptions::AppendMode::kLatched,
-                             threads, append_window, 96));
+    add_log_row(RunLogAppend("reserve", threads, append_window, 96));
   }
   for (int threads : agent_ladder) {
-    add_log_row(RunLogAppend("reserve", LogOptions::AppendMode::kReserve,
-                             threads, append_window, 96));
+    add_log_row(
+        RunLogAppend("batched", threads, append_window, 96, kBatchedRecords));
   }
   for (int threads : agent_ladder) {
-    add_log_row(RunLogAppend("batched", LogOptions::AppendMode::kReserve,
-                             threads, append_window, 96, kBatchedRecords));
+    add_log_row(RunLogAppend("reserve_tiny", threads, append_window, 16));
   }
   for (int threads : agent_ladder) {
-    add_log_row(RunLogAppend("reserve_tiny", LogOptions::AppendMode::kReserve,
-                             threads, append_window, 16));
-  }
-  for (int threads : agent_ladder) {
-    add_log_row(RunLogAppend("batched_tiny", LogOptions::AppendMode::kReserve,
-                             threads, append_window, 16, kBatchedRecords));
+    add_log_row(RunLogAppend("batched_tiny", threads, append_window, 16,
+                             kBatchedRecords));
   }
   const auto best_of = [&](const char* mode) {
     double best = 0;
@@ -279,7 +272,8 @@ int Main(int argc, char** argv) {
   std::printf("\n== commit pipeline (%llu us log device, SLI on) ==\n",
               static_cast<unsigned long long>(kLogIoDelayUs));
   TablePrinter pipe_table({"workload", "pipeline", "agents", "tps",
-                           "lock_waits", "gc_woken", "deferred_acks"});
+                           "lock_waits", "gc_woken", "commits/flush",
+                           "deferred_acks"});
   std::vector<WorkloadSample> pipe_samples;
   for (const char* wl : kWorkloads) {
     for (const char* config : {"legacy", "decentralized", "speculative"}) {
@@ -292,6 +286,7 @@ int Main(int argc, char** argv) {
             {s.workload, s.config, Fmt("%d", s.agents), Fmt("%.0f", s.tps),
              Fmt("%llu", static_cast<unsigned long long>(s.lock_waits)),
              Fmt("%llu", static_cast<unsigned long long>(s.gc_woken)),
+             Fmt("%.2f", s.commits_per_flush),
              Fmt("%llu", static_cast<unsigned long long>(s.deferred_acks))});
       }
     }
@@ -358,6 +353,8 @@ int Main(int argc, char** argv) {
       json.Key("early_release_commits").Value(s.early_release);
       json.Key("log_resv_retries").Value(s.resv_retries);
       json.Key("gc_waiters_woken").Value(s.gc_woken);
+      json.Key("flushes").Value(s.flushes);
+      json.Key("commits_per_flush").Value(s.commits_per_flush);
       json.Key("spec_reads").Value(s.spec_reads);
       json.Key("deferred_acks").Value(s.deferred_acks);
       json.Key("log_pct").Value(s.log_pct);

@@ -55,7 +55,7 @@ struct Workload {
 };
 
 /// Run a TPC-B-style history through the real engine, capturing the exact
-/// durable byte stream the flusher emits. `checkpoint_every` > 0 takes a
+/// durable byte stream the log passes emit. `checkpoint_every` > 0 takes a
 /// fuzzy checkpoint every that-many transactions.
 Workload BuildLog(uint64_t txns, uint64_t seed,
                   uint64_t checkpoint_every = 0) {
@@ -118,7 +118,7 @@ Workload BuildLog(uint64_t txns, uint64_t seed,
       if (!db.Commit(agent.get()).ok()) std::abort();
       ++out.committed;
     }
-  }  // teardown drains the flusher into the device
+  }  // teardown drains the log into the device
   if (!device.ReadAll(&out.stream).ok()) std::abort();
   RecoveryManager rm(out.stream);
   const RecoveryReport& r = rm.Scan();
@@ -238,7 +238,7 @@ struct FsyncSample {
 };
 
 /// Real-disk append throughput through a FileLogDevice at the given fsync
-/// cadence. Each append models one flusher pass (~4 KiB of log).
+/// cadence. Each append models one log pass (~4 KiB of log).
 FsyncSample MeasureFsyncCadence(uint32_t cadence, uint64_t appends) {
   const std::string path = "slidb_bench_fsync.log";
   std::remove(path.c_str());

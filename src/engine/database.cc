@@ -105,8 +105,9 @@ Status Database::RecoverFromStream(std::vector<uint8_t> stream,
       // SECOND crash would recover only post-recovery transactions. A
       // checkpoint pass images the recovered state and hardens it before
       // traffic starts. Segmented mode runs it even over an empty stream so
-      // the new generation materializes on the flusher thread before it is
-      // marked authoritative below.
+      // the new generation materializes — on the first pass that writes
+      // it, typically the one the checkpoint's own WaitDurable leads —
+      // before it is marked authoritative below.
       SLIDB_RETURN_NOT_OK(checkpointer_->CheckpointNow());
     }
     if (seg_device_ != nullptr) {

@@ -209,8 +209,9 @@ class Database {
   DatabaseOptions options_;
   std::unique_ptr<Volume> volume_;
   std::unique_ptr<BufferPool> buffer_pool_;
-  // Declared before log_manager_: the flusher drains into the device's
-  // sink during LogManager teardown, so the device must be destroyed after.
+  // Declared before log_manager_: the shutdown pass drains into the
+  // device's sink during LogManager teardown, so the device must be
+  // destroyed after.
   std::unique_ptr<LogDevice> log_device_;
   SegmentedLogDevice* seg_device_ = nullptr;  ///< log_device_ downcast, or null
   std::unique_ptr<LogManager> log_manager_;

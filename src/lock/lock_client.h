@@ -31,7 +31,7 @@ class LockClient {
   /// Prepare for a new transaction. `txn_id` orders transactions for
   /// deadlock victim selection (younger = larger id = preferred victim).
   void StartTxn(uint64_t txn_id, uint32_t agent_id) {
-    txn_id_ = txn_id;
+    txn_id_.store(txn_id, std::memory_order_relaxed);
     agent_id_ = agent_id;
     held_head_ = nullptr;
     cache_.Clear();
@@ -66,7 +66,7 @@ class LockClient {
   }
   uint64_t dep_lsn() const { return dep_lsn_; }
 
-  uint64_t txn_id() const { return txn_id_; }
+  uint64_t txn_id() const { return txn_id_.load(std::memory_order_relaxed); }
   uint32_t agent_id() const { return agent_id_; }
 
   LockCache& cache() { return cache_; }
@@ -130,7 +130,11 @@ class LockClient {
   }
 
  private:
-  uint64_t txn_id_ = 0;
+  /// Atomic: the deadlock detector walks its waits-for graph after the
+  /// latches are dropped and may read the id of a client that has already
+  /// moved on to its next transaction (a stale id only skews the victim
+  /// choice of a cycle that no longer exists).
+  std::atomic<uint64_t> txn_id_{0};
   uint64_t dep_lsn_ = 0;  ///< max durability dependency (single-threaded)
   uint64_t deadline_ns_ = 0;  ///< absolute txn deadline; 0 = none
   uint32_t agent_id_ = 0;

@@ -1,32 +1,28 @@
-// Deferred commit acknowledgements: the dependency-settlement machinery
-// behind speculative reads (TxnOptions::speculative_reads).
+// Deferred commit acknowledgements: the one node through which every wait
+// for durability goes.
 //
 // Under ELR a transaction that observes an early-released writer picks up a
 // durability dependency (LockClient::NoteDep): its effects must not become
 // visible to the client before that writer's commit record is parseable
-// from the durable stream. The synchronous discipline (PR 4) enforced this
-// by blocking in WaitDurable at commit; speculation replaces the block with
-// an *asynchronous commit dependency*: the commit parks a DeferredAck node
-// on the LogManager's settlement queue and returns immediately, and the
-// group-commit flusher settles the node in the same pass in which it
-// advances the durable LSN — the exact point where it learns which LSNs
-// hardened. Externalization (the client acknowledgement) moves from
-// Commit()'s return to the ack's settlement, so the ELR soundness invariant
-// is preserved with the stall deleted, not relaxed.
+// from the durable stream. A synchronous commit parks a DeferredAck and
+// sleeps on it (LogManager::WaitDurable); a speculative one parks it and
+// returns — an *asynchronous commit dependency*. Either way the log pass
+// that advances the durable LSN past it settles the node, so
+// externalization moves to the settlement with ELR soundness intact.
 //
-// Node ownership protocol (mirrors LogManager::CommitWaiter):
-//   1. the agent thread fills {lsn, park_ns} and hands the node to
-//      LogManager::ParkDeferred, which stores state = kParked and pushes it
-//      latch-free (the release CAS publishes the plain fields);
-//   2. the flusher owns the node from its acquire exchange until the
-//      release store of a terminal state — kDurable (the horizon hardened)
-//      or kLost (shutdown with the horizon still unflushed: the dependency
-//      aborted, the ack must not be reported as committed). It stamps
-//      settle_ns first and drops every reference before the store;
-//   3. the agent thread reclaims the slot (DeferredAckRing) once the
-//      terminal state is visible, charging the settle-latency /
-//      dependency-abort counters on the agent thread so the workload driver
-//      sees them.
+// Node ownership protocol:
+//   1. the owner fills {lsn, park_ns} and pushes the node onto the log's
+//      ack queue (the release CAS publishes the plain fields) as kParked
+//      (nobody blocks on it), kWaiting or kWaitingUntil (the owner sleeps
+//      on it, without or with a deadline);
+//   2. the flush-role holder owns it from its acquire exchange until it
+//      swaps in kDurable, kLost (shutdown before the horizon hardened: never
+//      report it committed) or kLead (the role passes to the waiting
+//      owner), stamping settle_ns and dropping every reference first;
+//   3. a deadline owner whose budget runs out swaps kWaitingUntil back to
+//      kParked and leaves: the node stays queued, so it must be ring-owned;
+//   4. the agent reclaims a ring slot once a terminal state is visible,
+//      charging the settle-latency / dependency-abort counters there.
 #pragma once
 
 #include <atomic>
@@ -38,31 +34,35 @@
 
 namespace slidb {
 
-/// One parked commit acknowledgement waiting for its durability horizon.
+/// One commit acknowledgement waiting for its durability horizon.
 struct DeferredAck {
   enum State : uint32_t {
-    kFree = 0,  ///< slot idle, owned by the agent's ring
-    kParked,    ///< on the settlement queue, owned by the flusher
-    kDurable,   ///< horizon hardened: the commit is externalized
-    kLost,      ///< horizon never hardened (dependency abort): the commit
-                ///< must not be reported — a crash could un-commit it
+    kFree = 0,      ///< slot idle, owned by the agent's ring
+    kParked,        ///< queued, nobody blocks on it
+    kWaiting,       ///< queued, the owner sleeps on it (may be promoted)
+    kWaitingUntil,  ///< queued, the owner sleeps on it until a deadline
+    kLead,          ///< promoted: the owner now holds the flush role
+    kDurable,       ///< horizon hardened: the commit is externalized
+    kLost,          ///< horizon never hardened (dependency abort): the commit
+                    ///< must not be reported — a crash could un-commit it
   };
 
   Lsn lsn = 0;             ///< durability horizon to settle at
-  uint64_t park_ns = 0;    ///< NowNanos at park (agent thread)
-  uint64_t settle_ns = 0;  ///< NowNanos at settle (flusher thread)
+  uint64_t park_ns = 0;    ///< NowNanos at park (owner)
+  uint64_t settle_ns = 0;  ///< NowNanos at settle (role holder)
+  uint64_t gap_cycles = 0;  ///< owner's RdCycles since its last wait (0: none)
   std::atomic<uint32_t> state{kFree};
-  DeferredAck* next = nullptr;  ///< settlement-queue linkage (flusher-owned)
+  DeferredAck* next = nullptr;  ///< ack-queue linkage (role-holder-owned)
 };
 
 /// Fixed-capacity FIFO of DeferredAck slots, owned by one agent thread.
 /// Parking is allocation-free: Acquire hands out the next slot, reclaiming
 /// the settled prefix lazily; a full ring blocks on the *oldest* parked ack
 /// (natural backpressure — the agent can be at most kSlots commits ahead of
-/// the flusher). Slots are stable memory for the ring's whole lifetime, so
-/// the flusher's queue pointers stay valid while acks are outstanding:
-/// drain (or destroy the LogManager, whose shutdown settles every parked
-/// ack) before destroying the ring.
+/// the log). Slots are stable memory for the ring's whole lifetime, so the
+/// ack queue's pointers stay valid while acks are outstanding: drain (or
+/// destroy the LogManager, whose shutdown settles every parked ack) before
+/// destroying the ring.
 class DeferredAckRing {
  public:
   static constexpr size_t kSlots = 128;
@@ -84,7 +84,7 @@ class DeferredAckRing {
   }
 
   /// Wait for every outstanding ack to settle and reclaim all slots. After
-  /// this the flusher holds no pointers into the ring.
+  /// this the log holds no pointers into the ring.
   void Drain() {
     while (head_ != tail_) {
       DeferredAck& a = slots_[head_ % kSlots];

@@ -549,7 +549,7 @@ void SegmentedLogDevice::RecycleBelow(Lsn lsn) {
   // resumes. Persist that trim LSN into the kept segment's header BEFORE
   // unlinking its predecessors: a crash between the two steps then only
   // means recovery reads a longer (still valid) stream. The segment is
-  // opened by path, not through cur_fd_, because the flusher may rotate
+  // opened by path, not through cur_fd_, because a log pass may rotate
   // (and close) the current fd concurrently.
   const Lsn trim = std::min<Lsn>(lsn, (limit + 1) * seg_payload_);
   bool trim_durable = false;

@@ -1,7 +1,7 @@
-// Log devices: the durable end of the WAL. The flusher hands contiguous,
-// LSN-ordered byte ranges to LogOptions::flush_sink; a LogDevice is the
-// object behind that seam that actually persists them. Three
-// implementations:
+// Log devices: the durable end of the WAL. Log passes — run by whichever
+// thread holds the flush role, one at a time — hand contiguous, LSN-ordered
+// byte ranges to LogOptions::flush_sink; a LogDevice is the object behind
+// that seam that actually persists them. Three implementations:
 //
 //   * FileLogDevice — a single append-only file (pwrite at the LSN offset +
 //     optional fsync per flush). Survives the process; Database::Recover
@@ -16,7 +16,7 @@
 //     (stop accepting bytes at an arbitrary point, emulating power loss mid
 //     device write). The recovery test harness and benches build on it.
 //
-// Durability contract: flush_sink blocks the flusher until the range is
+// Durability contract: flush_sink blocks the pass until the range is
 // durable, and the LogManager advances durable_lsn only after the sink
 // returns — so a committer released by WaitDurable knows its bytes reached
 // the device (or the device lied, which is what the crash tests emulate).
@@ -45,9 +45,9 @@ class LogDevice {
  public:
   virtual ~LogDevice() = default;
 
-  /// Persist `len` bytes whose first byte is log offset `lsn`. The flusher
-  /// calls this with contiguous, strictly increasing ranges. Must not
-  /// return before the bytes are durable (or dropped — a crashed device).
+  /// Persist `len` bytes whose first byte is log offset `lsn`: contiguous,
+  /// strictly increasing ranges, from the flush-role holder, never
+  /// overlapping. Must not return before the bytes are durable (or dropped).
   virtual Status Append(const uint8_t* data, size_t len, Lsn lsn) = 0;
 
   /// Bytes durably stored (the length of the valid-until-torn prefix a
@@ -74,8 +74,8 @@ class LogDevice {
 /// real file. Process-global; pass 0 to disarm. Returns the previous value.
 int SetLogSyncFailureInjection(int count);
 
-/// Deterministic in-memory device with crash injection. Thread-safe; the
-/// flusher writes while test threads arm crashes and read the stream back.
+/// Deterministic in-memory device with crash injection. Thread-safe; log
+/// passes write while test threads arm crashes and read the stream back.
 class InMemoryLogDevice : public LogDevice {
  public:
   Status Append(const uint8_t* data, size_t len, Lsn lsn) override;
@@ -148,9 +148,9 @@ class FileLogDevice : public LogDevice {
   int fd_;
   std::string path_;
   uint32_t fsync_every_n_;            ///< 0 = never, 1 = every flush
-  uint32_t flushes_since_sync_ = 0;   ///< flusher-thread only
-  bool truncated_ = false;  ///< flusher-thread only (single writer)
-  std::atomic<uint64_t> written_{0};  ///< advanced by the flusher thread
+  uint32_t flushes_since_sync_ = 0;  ///< flush-role holder only (no overlap)
+  bool truncated_ = false;  ///< the flush-role holder only; calls never overlap
+  std::atomic<uint64_t> written_{0};  ///< advanced by the flush-role holder
   std::atomic<bool> poisoned_{false};
 };
 
@@ -235,7 +235,7 @@ class SegmentedLogDevice : public LogDevice {
 
   uint64_t write_gen_ = 0;      ///< generation this device appends to
   bool tentative_ = false;      ///< write gen succeeds an existing one
-  bool prepared_ = false;       ///< flusher-thread only (single writer)
+  bool prepared_ = false;  ///< the flush-role holder only; calls never overlap
   int cur_fd_ = -1;             ///< current write segment
   uint64_t cur_seg_ = 0;
   uint32_t flushes_since_sync_ = 0;

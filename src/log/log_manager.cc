@@ -7,11 +7,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "src/stats/counters.h"
 #include "src/stats/profiler.h"
 #include "src/util/crc32c.h"
+#include "src/util/futex.h"
 #include "src/util/time_util.h"
 
 namespace slidb {
@@ -91,46 +93,9 @@ Lsn LogManager::Append(uint64_t txn_id, LogRecordType type,
     std::abort();
   }
 
-  if (options_.append_mode == LogOptions::AppendMode::kLatched) {
-    return AppendLatched(txn_id, type, payload, payload_len);
-  }
-  return AppendReserve(txn_id, type, payload, payload_len);
-}
-
-Lsn LogManager::AppendReserve(uint64_t txn_id, LogRecordType type,
-                              const void* payload, uint32_t payload_len) {
   const size_t total = sizeof(LogRecordHeader) + payload_len;
-  // One fetch-add claims both the byte range [start, end) and the record's
-  // publish-slot sequence number; LSN order and slot order can never
-  // diverge. No ordering is published here — the record becomes visible
-  // only through the slot release-store below.
-  const uint64_t ticket = ticket_.fetch_add(
-      (uint64_t{1} << kSeqShift) + total, std::memory_order_relaxed);
-  const Lsn start = ticket & kOffsetMask;
-  const uint64_t seq = ticket >> kSeqShift;
-  const Lsn end = start + total;
-  const size_t cap = options_.buffer_bytes;
-
-  // Ring-space backpressure: our bytes may only be written once everything
-  // they would overwrite is durable. Earlier reservations never depend on
-  // later ones, so the earliest unfilled writer can always make progress
-  // and the wait is deadlock-free.
-  while (end - durable_lsn_.load(std::memory_order_acquire) > cap) {
-    BackpressurePause();
-  }
-  // Slot backpressure: at most `reservation_slots` records in flight. The
-  // slot is ours only once its previous-round occupant was consumed (tag
-  // values at this index move seq → seq+1 → seq+slots → ... in modular seq
-  // space, so an unfilled predecessor and an unconsumed one both read as
-  // "not our turn"). Rather than waiting on the flusher's cadence, help
-  // drain the publish queue ourselves (cooperative consume); when that
-  // makes no progress (consumer busy, or an unfilled predecessor stalls
-  // the queue) back off so the stalled writer can run.
-  PublishSlot& slot = slots_[seq & slot_mask_];
-  while (slot.tag.load(std::memory_order_acquire) != (seq & kSeqMask)) {
-    if (!TryAdvanceWatermark()) BackpressurePause();
-  }
-
+  uint64_t seq;
+  const Lsn start = Reserve(total, &seq);
   // The header is sealed only now that the record's start LSN is known:
   // the CRC covers the lsn field, binding the checksum to the offset.
   const LogRecordHeader hdr =
@@ -139,37 +104,50 @@ Lsn LogManager::AppendReserve(uint64_t txn_id, LogRecordType type,
   if (payload_len > 0) {
     CopyIntoRing(start + sizeof(hdr), payload, payload_len);
   }
-  records_.fetch_add(1, std::memory_order_relaxed);
-  slot.end = end;
-  // Publish: the release pairs with the flusher's acquire tag load, making
-  // `end` and the ring bytes visible before the watermark can cover them.
-  slot.tag.store((seq + 1) & kSeqMask, std::memory_order_release);
-  return end;
+  return Publish(seq, start + total, 1);
 }
 
-Lsn LogManager::AppendLatched(uint64_t txn_id, LogRecordType type,
-                              const void* payload, uint32_t payload_len) {
-  const size_t total = sizeof(LogRecordHeader) + payload_len;
-  const size_t cap = options_.buffer_bytes;
-  append_latch_.Acquire();
-  while (watermark_.load(std::memory_order_relaxed) + total -
-             durable_lsn_.load(std::memory_order_acquire) >
-         cap) {
-    append_latch_.Release();
+Lsn LogManager::Reserve(size_t total, uint64_t* seq_out) {
+  // One fetch-add claims both the byte range [start, end) and the record's
+  // publish-slot sequence number; LSN order and slot order can never
+  // diverge. No ordering is published here — the record becomes visible
+  // only through the slot release-store in Publish.
+  const uint64_t ticket = ticket_.fetch_add(
+      (uint64_t{1} << kSeqShift) + total, std::memory_order_relaxed);
+  const Lsn start = ticket & kOffsetMask;
+  const uint64_t seq = ticket >> kSeqShift;
+  // Ring-space backpressure: our bytes may only be written once everything
+  // they would overwrite is durable. Earlier reservations never depend on
+  // later ones, so the earliest unfilled writer can always make progress
+  // and the wait is deadlock-free.
+  while (start + total - durable_lsn_.load(std::memory_order_acquire) >
+         options_.buffer_bytes) {
     BackpressurePause();
-    append_latch_.Acquire();
   }
-  const Lsn start = watermark_.load(std::memory_order_relaxed);
-  const LogRecordHeader hdr =
-      MakeLogRecordHeader(txn_id, type, start, payload, payload_len);
-  CopyIntoRing(start, &hdr, sizeof(hdr));
-  if (payload_len > 0) {
-    CopyIntoRing(start + sizeof(hdr), payload, payload_len);
+  // Slot backpressure: at most `reservation_slots` records in flight. The
+  // slot is ours only once its previous-round occupant was consumed (tag
+  // values at this index move seq → seq+1 → seq+slots → ... in modular seq
+  // space, so an unfilled predecessor and an unconsumed one both read as
+  // "not our turn"). Rather than waiting for a pass, help drain the
+  // publish queue ourselves (cooperative consume); when that makes no
+  // progress (consumer busy, or an unfilled predecessor stalls the queue)
+  // back off so the stalled writer can run.
+  const PublishSlot& slot = slots_[seq & slot_mask_];
+  while (slot.tag.load(std::memory_order_acquire) != (seq & kSeqMask)) {
+    if (!TryAdvanceWatermark()) BackpressurePause();
   }
-  records_.fetch_add(1, std::memory_order_relaxed);
-  watermark_.store(start + total, std::memory_order_release);
-  append_latch_.Release();
-  return start + total;
+  *seq_out = seq;
+  return start;
+}
+
+Lsn LogManager::Publish(uint64_t seq, Lsn end, uint64_t records) {
+  records_.fetch_add(records, std::memory_order_relaxed);
+  PublishSlot& slot = slots_[seq & slot_mask_];
+  slot.end = end;
+  // The release pairs with the consumer's acquire tag load, making `end`
+  // and the ring bytes visible before the watermark can cover them.
+  slot.tag.store((seq + 1) & kSeqMask, std::memory_order_release);
+  return end;
 }
 
 void LogManager::PlanBatchSegments(LogStagingBuffer* staging) const {
@@ -264,63 +242,19 @@ size_t LogManager::SealSegmentIntoRing(LogStagingBuffer* staging,
   return sizeof(env) + seg.stage_len;
 }
 
-Lsn LogManager::PublishChunkReserve(LogStagingBuffer* staging,
-                                    const LogBatchSegment* segs, size_t n,
-                                    size_t total) {
-  // Identical protocol to AppendReserve, with the whole chunk riding one
-  // ticket and one publish slot — the amortization this path exists for.
-  const uint64_t ticket = ticket_.fetch_add(
-      (uint64_t{1} << kSeqShift) + total, std::memory_order_relaxed);
-  const Lsn start = ticket & kOffsetMask;
-  const uint64_t seq = ticket >> kSeqShift;
-  const Lsn end = start + total;
-  const size_t cap = options_.buffer_bytes;
-
-  while (end - durable_lsn_.load(std::memory_order_acquire) > cap) {
-    BackpressurePause();
-  }
-  PublishSlot& slot = slots_[seq & slot_mask_];
-  while (slot.tag.load(std::memory_order_acquire) != (seq & kSeqMask)) {
-    if (!TryAdvanceWatermark()) BackpressurePause();
-  }
-
-  Lsn cursor = start;
+Lsn LogManager::PublishChunk(LogStagingBuffer* staging,
+                             const LogBatchSegment* segs, size_t n,
+                             size_t total) {
+  // The whole chunk rides one ticket and one publish slot — the
+  // amortization this path exists for.
+  uint64_t seq;
+  Lsn cursor = Reserve(total, &seq);
   uint64_t recs = 0;
   for (size_t i = 0; i < n; ++i) {
     cursor += SealSegmentIntoRing(staging, segs[i], cursor);
     recs += segs[i].count;
   }
-  assert(cursor == end);
-  records_.fetch_add(recs, std::memory_order_relaxed);
-  slot.end = end;
-  slot.tag.store((seq + 1) & kSeqMask, std::memory_order_release);
-  return end;
-}
-
-Lsn LogManager::PublishChunkLatched(LogStagingBuffer* staging,
-                                    const LogBatchSegment* segs, size_t n,
-                                    size_t total) {
-  const size_t cap = options_.buffer_bytes;
-  append_latch_.Acquire();
-  while (watermark_.load(std::memory_order_relaxed) + total -
-             durable_lsn_.load(std::memory_order_acquire) >
-         cap) {
-    append_latch_.Release();
-    BackpressurePause();
-    append_latch_.Acquire();
-  }
-  const Lsn start = watermark_.load(std::memory_order_relaxed);
-  Lsn cursor = start;
-  uint64_t recs = 0;
-  for (size_t i = 0; i < n; ++i) {
-    cursor += SealSegmentIntoRing(staging, segs[i], cursor);
-    recs += segs[i].count;
-  }
-  assert(cursor == start + total);
-  records_.fetch_add(recs, std::memory_order_relaxed);
-  watermark_.store(start + total, std::memory_order_release);
-  append_latch_.Release();
-  return start + total;
+  return Publish(seq, cursor, recs);
 }
 
 Lsn LogManager::AppendBatch(LogStagingBuffer* staging) {
@@ -332,10 +266,9 @@ Lsn LogManager::AppendBatch(LogStagingBuffer* staging) {
   // A reservation can never exceed the ring (its bytes would have to
   // overwrite data that cannot become durable first — a self-deadlock), so
   // oversized batches split at segment granularity. Half the ring per
-  // chunk keeps the flusher pipelined behind very large batches; in the
+  // chunk keeps passes pipelined behind very large batches; in the
   // intended regime (staging watermark << ring) a batch is one chunk.
   const size_t chunk_limit = std::max<size_t>(cap / 2, 1);
-  const bool latched = options_.append_mode == LogOptions::AppendMode::kLatched;
   Lsn end = 0;
   size_t i = 0;
   uint64_t batch_records = 0;
@@ -353,8 +286,7 @@ Lsn LogManager::AppendBatch(LogStagingBuffer* staging) {
       total += segs[j].wire_bytes();
       ++j;
     }
-    end = latched ? PublishChunkLatched(staging, segs.data() + i, j - i, total)
-                  : PublishChunkReserve(staging, segs.data() + i, j - i, total);
+    end = PublishChunk(staging, segs.data() + i, j - i, total);
     CountEvent(Counter::kLogBatchAppends);
     for (size_t k = i; k < j; ++k) batch_records += segs[k].count;
     batch_bytes += total;
@@ -367,101 +299,119 @@ Lsn LogManager::AppendBatch(LogStagingBuffer* staging) {
 }
 
 void LogManager::WaitDurable(Lsn lsn) {
-  if (!options_.durable_commit) return;
   if (durable_lsn_.load(std::memory_order_acquire) >= lsn) return;
+  DeferredAck ack;  // never abandoned, so it may live on the stack
+  ack.lsn = lsn;
+  WaitDurable(&ack, /*deadline_ns=*/0);
+}
 
-  ScopedComponent comp(Component::kLog);
-  const uint64_t t0 = RdCycles();
-  if (options_.waiter_policy == LogOptions::WaiterPolicy::kBroadcast) {
-    std::unique_lock<std::mutex> lk(flush_mu_);
-    flush_cv_.notify_one();
-    durable_cv_.wait(lk, [&] {
-      return durable_lsn_.load(std::memory_order_acquire) >= lsn || stop_;
-    });
+namespace {
+
+bool IsWaiting(uint32_t state) {
+  return state == DeferredAck::kWaiting || state == DeferredAck::kWaitingUntil;
+}
+
+/// Wake the owner of an ack whose state just left `old`.
+void WakeOwner(DeferredAck* ack, uint32_t old) {
+  if (old == DeferredAck::kWaitingUntil) {
+    FutexWake(ack->state);
   } else {
-    // One node per thread: after the flusher sets `done` it drops every
-    // reference, so returning (and later re-pushing the same node) is safe.
-    // A stale notify from a previous use only causes a spurious wake, which
-    // the done-flag recheck absorbs.
-    thread_local CommitWaiter node;
-    node.lsn = lsn;
-    node.done.store(false, std::memory_order_relaxed);
-    CommitWaiter* head = waiters_.load(std::memory_order_relaxed);
-    do {
-      node.next = head;
-    } while (!waiters_.compare_exchange_weak(head, &node,
-                                             std::memory_order_release,
-                                             std::memory_order_relaxed));
-    // Kick the flusher: it settles the waiter list on every pass, so a push
-    // that races a concurrent settle is picked up by the pass this notify
-    // (or the periodic timeout) triggers.
-    flush_cv_.notify_one();
-    while (!node.done.load(std::memory_order_acquire)) {
-      node.done.wait(false, std::memory_order_acquire);
-    }
-    CountEvent(Counter::kGroupCommitWaitersWoken);
-  }
-  if (ThreadProfile* p = ThreadProfile::Current()) {
-    p->AttributeBlocked(t0, RdCycles());
+    ack->state.notify_one();
   }
 }
 
-bool LogManager::WaitDurableUntil(Lsn lsn, uint64_t deadline_ns) {
-  if (!options_.durable_commit) return true;
-  if (durable_lsn_.load(std::memory_order_acquire) >= lsn) return true;
-  if (deadline_ns == 0) {
-    WaitDurable(lsn);
-    return true;
+}  // namespace
+
+bool LogManager::SettledInline(DeferredAck* ack) {
+  if (options_.durable_commit &&
+      durable_lsn_.load(std::memory_order_acquire) < ack->lsn) {
+    return false;
   }
+  ack->settle_ns = ack->park_ns;
+  ack->state.store(DeferredAck::kDurable, std::memory_order_release);
+  return true;
+}
+
+bool LogManager::WaitDurable(DeferredAck* ack, uint64_t deadline_ns) {
   ScopedComponent comp(Component::kLog);
-  const uint64_t t0 = RdCycles();
-  // Poll at flush cadence: the durable LSN only advances when the flusher
-  // runs, so re-checking once per flush interval observes a hardening
-  // within ~one flush period without the per-thread settlement node (which
-  // cannot be abandoned mid-wait — the flusher would settle freed memory).
-  const uint64_t poll_ns =
-      std::max<uint64_t>(options_.flush_interval_us * 1000, 1'000);
-  bool durable;
-  {
-    std::unique_lock<std::mutex> lk(flush_mu_);
-    flush_cv_.notify_one();
-    for (;;) {
-      durable = durable_lsn_.load(std::memory_order_acquire) >= lsn;
-      if (durable || stop_) break;
-      const uint64_t now = NowNanos();
-      if (now >= deadline_ns) break;
-      durable_cv_.wait_for(
-          lk, std::chrono::nanoseconds(std::min(poll_ns, deadline_ns - now)));
+  // This thread's time since its previous durability wait returned: the
+  // accumulation rule's between-commits sample.
+  thread_local uint64_t last_return_cycles = 0;
+  uint64_t gap = last_return_cycles != 0 ? RdCycles() - last_return_cycles : 0;
+  const uint32_t waiting = deadline_ns == 0 ? DeferredAck::kWaiting
+                                            : DeferredAck::kWaitingUntil;
+  // A deadline commit leads only when a pass fits its remaining budget.
+  const auto may_lead = [&] {
+    return deadline_ns == 0 ||
+           NowNanos() + static_cast<uint64_t>(CyclesToNanos(
+                            pass_cycles_.load(std::memory_order_relaxed))) <
+               deadline_ns;
+  };
+  bool durable = true;
+  for (;;) {
+    if (SettledInline(ack)) break;
+    const bool can_lead = may_lead();
+    if (!can_lead || !TryTakeRole()) {
+      ack->gap_cycles = std::exchange(gap, 0);
+      Enqueue(ack, waiting);  // a queued ack also draws the background pass
+      if (can_lead && !role_.load(std::memory_order_seq_cst) &&
+          TryTakeRole()) {
+        // The role was released between our attempt and our push; this
+        // re-check pairs with HandOffRole's, so one of us settles or
+        // promotes the queued ack.
+        SettleAcks(/*shutdown=*/false);
+        HandOffRole();
+      }
+      const uint64_t t0 = RdCycles();
+      uint32_t s = ack->state.load(std::memory_order_acquire);
+      while (s == waiting && (deadline_ns == 0 || NowNanos() < deadline_ns)) {
+        if (deadline_ns == 0) {
+          ack->state.wait(waiting, std::memory_order_acquire);
+        } else {
+          FutexWaitUntil(ack->state, waiting, deadline_ns);
+        }
+        s = ack->state.load(std::memory_order_acquire);
+      }
+      if (ThreadProfile* p = ThreadProfile::Current()) {
+        p->AttributeBlocked(t0, RdCycles());
+      }
+      // Deadline passed: leave the node queued for a later pass. Losing
+      // this race means a pass settled or promoted us meanwhile.
+      if (s == waiting &&
+          ack->state.compare_exchange_strong(s, DeferredAck::kParked,
+                                             std::memory_order_acq_rel)) {
+        durable = false;
+        break;
+      }
+      if (s == DeferredAck::kDurable || s == DeferredAck::kLost) {
+        CountEvent(Counter::kGroupCommitWaitersWoken);
+        break;
+      }
+      // Promoted: the role is ours and the node is back in our hands.
+      if (!may_lead()) {
+        HandOffRole();
+        continue;
+      }
+    }
+    FoldGap(std::exchange(gap, 0));
+    LeadPass(/*committer=*/true);
+    // Still not durable: an earlier reservation is being filled. Retry
+    // rather than sleep on anyone.
+    if (durable_lsn_.load(std::memory_order_acquire) < ack->lsn) {
+      std::this_thread::yield();
     }
   }
-  if (ThreadProfile* p = ThreadProfile::Current()) {
-    p->AttributeBlocked(t0, RdCycles());
-  }
+  last_return_cycles = RdCycles();
   return durable;
 }
 
 bool LogManager::ParkDeferred(DeferredAck* ack) {
   // Inline settle when the horizon is already durable (the common case on
-  // read-mostly workloads: the observed writers hardened flushes ago) or
-  // when durability is off — then there is nothing to wait for by
-  // definition, matching WaitDurable's early return.
-  if (!options_.durable_commit ||
-      durable_lsn_.load(std::memory_order_acquire) >= ack->lsn) {
-    ack->settle_ns = ack->park_ns;
-    ack->state.store(DeferredAck::kDurable, std::memory_order_release);
-    return false;
-  }
-  ack->state.store(DeferredAck::kParked, std::memory_order_relaxed);
-  DeferredAck* head = deferred_.load(std::memory_order_relaxed);
-  do {
-    ack->next = head;
-  } while (!deferred_.compare_exchange_weak(head, ack,
-                                            std::memory_order_release,
-                                            std::memory_order_relaxed));
-  // Kick the flusher (same contract as WaitDurable's push): a park racing
-  // a concurrent settle pass is picked up by the pass this notify — or the
-  // periodic timeout — triggers. A pathological race where the LSN became
-  // durable between our check and the push just settles one pass later.
+  // read-mostly workloads: the observed writers hardened flushes ago).
+  if (SettledInline(ack)) return false;
+  Enqueue(ack, DeferredAck::kParked);
+  // Nobody waits on this ack: kick the background flusher, whose pass
+  // settles it unless a committer's pass gets there first.
   flush_cv_.notify_one();
   return true;
 }
@@ -506,119 +456,175 @@ void LogManager::EmitToSink(Lsn from, Lsn to) {
   }
 }
 
-void LogManager::SettleWaiters(bool shutdown) {
-  // Claim every newly pushed node and fold it into the flusher-private
-  // pending list (only this thread ever walks `pending_`).
-  CommitWaiter* incoming = waiters_.exchange(nullptr, std::memory_order_acquire);
-  while (incoming != nullptr) {
-    CommitWaiter* next = incoming->next;
-    incoming->next = pending_;
-    pending_ = incoming;
-    incoming = next;
-  }
-  const Lsn durable = durable_lsn_.load(std::memory_order_relaxed);
-  CommitWaiter** pp = &pending_;
-  while (*pp != nullptr) {
-    CommitWaiter* w = *pp;
-    if (shutdown || w->lsn <= durable) {
-      *pp = w->next;
-      w->next = nullptr;
-      // After this store the node belongs to its owner thread again.
-      w->done.store(true, std::memory_order_release);
-      w->done.notify_one();
-    } else {
-      pp = &w->next;
-    }
+bool LogManager::TryTakeRole() {
+  return !role_.load(std::memory_order_relaxed) &&
+         !role_.exchange(true, std::memory_order_acquire);
+}
+
+void LogManager::Enqueue(DeferredAck* ack, uint32_t state) {
+  ack->state.store(state, std::memory_order_relaxed);
+  ack->next = incoming_.load(std::memory_order_relaxed);
+  while (!incoming_.compare_exchange_weak(ack->next, ack,
+                                          std::memory_order_seq_cst,
+                                          std::memory_order_relaxed)) {
   }
 }
 
-void LogManager::SettleDeferredAcks(bool shutdown) {
-  DeferredAck* incoming =
-      deferred_.exchange(nullptr, std::memory_order_acquire);
-  while (incoming != nullptr) {
-    DeferredAck* next = incoming->next;
-    incoming->next = deferred_pending_;
-    deferred_pending_ = incoming;
-    incoming = next;
-  }
-  if (deferred_pending_ == nullptr) return;
-  const Lsn durable = durable_lsn_.load(std::memory_order_relaxed);
-  const uint64_t now = NowNanos();
-  DeferredAck** pp = &deferred_pending_;
-  while (*pp != nullptr) {
-    DeferredAck* a = *pp;
-    if (a->lsn <= durable || shutdown) {
-      *pp = a->next;
-      a->next = nullptr;
-      a->settle_ns = now;
-      // kDurable only when the horizon actually hardened: at shutdown an
-      // unsatisfied ack's dependency died with the log, and reporting it
-      // committed would externalize state recovery will not reproduce.
-      // After this store the node belongs to its owner thread again.
-      a->state.store(a->lsn <= durable ? DeferredAck::kDurable
-                                       : DeferredAck::kLost,
-                     std::memory_order_release);
-      a->state.notify_one();
-    } else {
-      pp = &a->next;
+// A committer first applies the accumulation rule: on a device slower than
+// the committers' time between commits, a leader that starts its pass at
+// once splits the committers into two cohorts that alternate passes. So it
+// waits for the committers the previous pass saw (`cohort_`) to come back
+// and queue — only while a pass costs more than a committer's time between
+// commits, and never longer than that time. With no device, never.
+void LogManager::LeadPass(bool committer) {
+  const uint64_t budget = gap_cycles_;
+  if (committer && cohort_ > 1 &&
+      pass_cycles_.load(std::memory_order_relaxed) > budget) {
+    const uint64_t t0 = RdCycles();
+    while (1 + SettleAcks(/*shutdown=*/false) < cohort_ &&
+           RdCycles() - t0 < budget) {
+      std::this_thread::yield();
+    }
+    if (ThreadProfile* p = ThreadProfile::Current()) {
+      p->AttributeBlocked(t0, RdCycles());
     }
   }
+  const bool flushed = RunPass();
+  const uint32_t waiting = SettleAcks(/*shutdown=*/false);
+  // Only a committer's pass that hardened something sizes the cohort: the
+  // background pass runs on a timer, out of step with the committers.
+  if (committer && flushed) cohort_ = 1 + waiting;
+  HandOffRole();
 }
 
-void LogManager::FlushOnce() {
+bool LogManager::RunPass() {
   publish_latch_.Acquire();
   AdvanceWatermarkLocked();
   publish_latch_.Release();
   const Lsn target = watermark_.load(std::memory_order_acquire);
-  if (target != durable_lsn_.load(std::memory_order_relaxed)) {
-    // "Write" the batch: the data is already in memory (our in-memory log
-    // device); hand it to the sink if one is installed and charge the
-    // configured per-I/O latency. The device write is asynchronous (DMA)
-    // on real hardware, so the latency is charged as flusher sleep — the
-    // agent threads keep the CPU while the I/O is in flight. Durability
-    // advances only afterwards.
-    EmitToSink(durable_lsn_.load(std::memory_order_relaxed), target);
-    if (options_.simulated_io_delay_us > 0) {
-      std::this_thread::sleep_for(
-          std::chrono::microseconds(options_.simulated_io_delay_us));
-    }
-    if (options_.waiter_policy == LogOptions::WaiterPolicy::kBroadcast) {
-      // The mutex orders the durable-LSN store against a committer's
-      // predicate check, closing the classic lost-wakeup window.
-      {
-        std::lock_guard<std::mutex> g(flush_mu_);
-        durable_lsn_.store(target, std::memory_order_release);
-      }
-      durable_cv_.notify_all();
+  const Lsn from = durable_lsn_.load(std::memory_order_relaxed);
+  if (target == from) return false;
+  // The device leg — the sink, then the simulated latency as a sleep (the
+  // write is DMA on real hardware) — counts as blocked time and feeds the
+  // pass-time estimate. Durability advances only afterwards.
+  const uint64_t t0 = RdCycles();
+  EmitToSink(from, target);
+  if (options_.simulated_io_delay_us > 0) {
+    std::this_thread::sleep_for(
+        std::chrono::microseconds(options_.simulated_io_delay_us));
+  }
+  durable_lsn_.store(target, std::memory_order_release);
+  flushes_.fetch_add(1, std::memory_order_relaxed);
+  const uint64_t t1 = RdCycles();
+  if (ThreadProfile* p = ThreadProfile::Current()) p->AttributeBlocked(t0, t1);
+  const uint64_t prev = pass_cycles_.load(std::memory_order_relaxed);
+  pass_cycles_.store(prev - prev / 4 + (t1 - t0) / 4,
+                     std::memory_order_relaxed);
+  return true;
+}
+
+void LogManager::FoldGap(uint64_t gap_cycles) {
+  if (gap_cycles == 0) return;
+  // Clamped to twice the pass time, so an idle spell cannot swamp it.
+  const uint64_t sample = std::min(
+      gap_cycles, 2 * pass_cycles_.load(std::memory_order_relaxed));
+  gap_cycles_ = gap_cycles_ - gap_cycles_ / 8 + sample / 8;
+}
+
+void LogManager::AbsorbIncoming() {
+  DeferredAck* in = incoming_.exchange(nullptr, std::memory_order_acquire);
+  while (in != nullptr) {
+    DeferredAck* next = in->next;
+    in->next = pending_;
+    pending_ = in;
+    FoldGap(std::exchange(in->gap_cycles, 0));
+    in = next;
+  }
+}
+
+uint32_t LogManager::SettleAcks(bool shutdown) {
+  AbsorbIncoming();
+  if (pending_ == nullptr) return 0;
+  const Lsn durable = durable_lsn_.load(std::memory_order_relaxed);
+  const uint64_t now = NowNanos();
+  uint32_t waiting = 0;
+  DeferredAck** pp = &pending_;
+  while (*pp != nullptr) {
+    DeferredAck* a = *pp;
+    if (IsWaiting(a->state.load(std::memory_order_relaxed))) ++waiting;
+    if (a->lsn <= durable || shutdown) {
+      *pp = a->next;
+      a->settle_ns = now;
+      // kLost at shutdown: the dependency died with the log, and reporting
+      // it committed would externalize state recovery will not reproduce.
+      // After this swap the node belongs to its owner again.
+      const uint32_t old = a->state.exchange(
+          a->lsn <= durable ? DeferredAck::kDurable : DeferredAck::kLost,
+          std::memory_order_acq_rel);
+      WakeOwner(a, old);
     } else {
-      durable_lsn_.store(target, std::memory_order_release);
+      pp = &a->next;
     }
-    flushes_.fetch_add(1, std::memory_order_relaxed);
   }
-  if (options_.waiter_policy == LogOptions::WaiterPolicy::kConsolidated) {
-    SettleWaiters(/*shutdown=*/false);
+  return waiting;
+}
+
+void LogManager::HandOffRole() {
+  for (;;) {
+    // kLead hands the role (and this list) to a waiting owner left
+    // uncovered; it loses only to a deadline owner giving up (re-linked).
+    for (DeferredAck** pp = &pending_; *pp != nullptr; pp = &(*pp)->next) {
+      DeferredAck* a = *pp;
+      uint32_t s = a->state.load(std::memory_order_relaxed);
+      if (!IsWaiting(s)) continue;
+      *pp = a->next;
+      if (a->state.compare_exchange_strong(s, DeferredAck::kLead,
+                                           std::memory_order_acq_rel)) {
+        WakeOwner(a, s);
+        return;
+      }
+      *pp = a;
+    }
+    role_.store(false, std::memory_order_seq_cst);
+    // A follower that queued after our last absorb re-checks the role after
+    // its push; we re-check the queue: one of us picks it up.
+    if (incoming_.load(std::memory_order_seq_cst) == nullptr ||
+        !TryTakeRole()) {
+      return;
+    }
+    SettleAcks(/*shutdown=*/false);
   }
-  SettleDeferredAcks(/*shutdown=*/false);
 }
 
 void LogManager::FlusherLoop() {
   std::unique_lock<std::mutex> lk(flush_mu_);
+  const auto interval = std::chrono::microseconds(options_.flush_interval_us);
+  Lsn last_reserved = 0;
   while (!stop_) {
-    flush_cv_.wait_for(lk,
-                       std::chrono::microseconds(options_.flush_interval_us));
+    const bool kicked =
+        flush_cv_.wait_for(lk, interval) == std::cv_status::no_timeout;
     if (stop_) break;
     lk.unlock();
-    FlushOnce();
+    // Pass only for what nobody waits on — a kick (ring backpressure, a
+    // parked ack), queued acks, a tail idle for a whole interval — never to
+    // race a committer for the record it is about to harden itself.
+    const Lsn reserved = reserved_lsn();
+    const bool idle_tail = reserved == last_reserved && reserved > durable_lsn();
+    last_reserved = reserved;
+    if ((kicked || idle_tail ||
+         incoming_.load(std::memory_order_relaxed) != nullptr) &&
+        TryTakeRole()) {
+      LeadPass(/*committer=*/false);
+    }
     lk.lock();
   }
   lk.unlock();
-  // Drain on shutdown: harden whatever is completely published, then
-  // release every committer (and every parked deferred ack) so nobody
-  // hangs and no settlement-queue pointer outlives the flusher.
-  FlushOnce();
-  SettleWaiters(/*shutdown=*/true);
-  SettleDeferredAcks(/*shutdown=*/true);
-  durable_cv_.notify_all();
+  // Shutdown: wait out any running pass, harden what is published, settle
+  // every queued ack (kLost past the durable LSN), and free the role.
+  while (!TryTakeRole()) std::this_thread::yield();
+  RunPass();
+  SettleAcks(/*shutdown=*/true);
+  role_.store(false, std::memory_order_release);
 }
 
 Lsn LogManager::reserved_lsn() const {

@@ -1,24 +1,22 @@
 // Write-ahead log with a decentralized commit pipeline.
 //
-// Append path (default): writers claim log space with a single atomic
-// fetch-add on a packed (record-seq, byte-offset) ticket — no latch — fill
-// their bytes in the ring, then publish the record through a per-slot
-// "filled" watermark. The flusher advances the contiguous-filled watermark
-// over completed records in LSN order, hardens [durable, watermark) (paying
-// an optional simulated device latency), and advances the durable LSN.
+// Append path: writers claim log space with a single atomic fetch-add on a
+// packed (record-seq, byte-offset) ticket — no latch — fill their bytes in
+// the ring, then publish the record through a per-slot "filled" watermark.
 //
-// Commit path (default): committers enqueue a {lsn, flag} node on a
-// latch-free stack; the flusher wakes exactly the waiters whose records it
-// just made durable (consolidated group commit) instead of broadcasting to
-// every committer on every flush.
+// Commit path (leader/follower group commit): a committer whose LSN is not
+// yet durable takes the *flush role* and runs a *pass* itself — advance the
+// watermark, harden [durable, watermark) through `flush_sink` (plus any
+// simulated device latency), publish the durable LSN, settle the parked
+// acks it covered. A committer that finds the role taken parks a
+// DeferredAck (commit_dependency.h), which the pass settles or promotes to
+// lead the next pass; every durability wait goes through that one ack. A
+// background flusher runs the same pass on a timer, only for what nobody
+// waits on: speculative acks, ring backpressure and the tail.
 //
-// The legacy single-latch append and broadcast-condvar wakeup are retained
-// behind LogOptions knobs as the measured baseline (bench/macro_workloads).
-//
-// On-wire record format (self-describing, CRC32C-sealed): log_record.h.
-// The flusher hands hardened byte ranges to `flush_sink` — attach a
-// LogDevice (log_device.h) there for a durable stream that RecoveryManager
-// (recovery.h) can replay after a crash.
+// Record format: log_record.h. Attach a LogDevice (log_device.h) as the
+// `flush_sink` for a durable stream that RecoveryManager (recovery.h) can
+// replay after a crash.
 #pragma once
 
 #include <atomic>
@@ -40,8 +38,8 @@ namespace slidb {
 
 struct LogOptions {
   size_t buffer_bytes = 8u << 20;
-  /// Flusher wake-up cadence. Shorter = lower commit latency, more
-  /// simulated I/Os.
+  /// Cadence of the background flusher's pass. No synchronous commit
+  /// waits on it.
   uint64_t flush_interval_us = 50;
   /// Per-flush simulated device latency (the paper charges 6 ms per I/O for
   /// data pages; log devices are faster — default 0, configurable).
@@ -49,12 +47,6 @@ struct LogOptions {
   /// When false, WaitDurable returns immediately (for lock-bound
   /// microbenchmarks that want the log out of the picture).
   bool durable_commit = true;
-
-  enum class AppendMode : uint8_t {
-    kReserve,  ///< latch-free ring-space reservation (default)
-    kLatched,  ///< legacy single append latch (bench baseline)
-  };
-  AppendMode append_mode = AppendMode::kReserve;
 
   /// Bound on reserved-but-unconsumed records in flight (rounded up to a
   /// power of two, clamped to [2, 2^19] — strictly below the 2^20 seq-tag
@@ -64,13 +56,6 @@ struct LogOptions {
   /// ring (buffer_bytes / 128) so the in-flight runway covers a scheduler
   /// quantum even when one writer is preempted mid-fill.
   size_t reservation_slots = 0;
-
-  enum class WaiterPolicy : uint8_t {
-    kConsolidated,  ///< per-committer nodes; flusher wakes exactly the
-                    ///< waiters whose LSN just became durable (default)
-    kBroadcast,     ///< legacy shared condvar, notify_all per flush
-  };
-  WaiterPolicy waiter_policy = WaiterPolicy::kConsolidated;
 
   /// AppendBatch wraps runs of >= 2 consecutive records whose wire size
   /// (header + payload) is at most this bound in a kBatchSeal envelope:
@@ -88,12 +73,14 @@ struct LogOptions {
   /// tail on clean shutdown.
   uint32_t fsync_every_n_flushes = 1;
 
-  /// Device-write hook: the flusher calls it for each contiguous byte range
+  /// Device-write hook: each pass calls it for each contiguous byte range
   /// as the range becomes durable (ring wrap may split one flush into two
   /// calls; `start_lsn` is the log offset of `data[0]`). Tests use it to
   /// capture and verify the exact durable byte stream; it also gates
   /// durability (the durable LSN only advances after the sink returns).
-  /// Called from the flusher thread with no internal locks held.
+  /// Called by the flush-role holder (a committing agent or the background
+  /// flusher) with no internal locks held. Calls never overlap, and each
+  /// hand-over of the role is a release/acquire edge.
   std::function<void(const uint8_t* data, size_t len, Lsn start_lsn)>
       flush_sink;
 };
@@ -115,7 +102,7 @@ class LogManager {
   LogManager& operator=(const LogManager&) = delete;
 
   /// Append one record; returns its end LSN. May block (ring-space or
-  /// publish-slot backpressure) until the flusher frees space.
+  /// publish-slot backpressure) until a pass frees space.
   Lsn Append(uint64_t txn_id, LogRecordType type, const void* payload,
              uint32_t payload_len);
 
@@ -130,31 +117,34 @@ class LogManager {
   /// returns appended_lsn().
   Lsn AppendBatch(LogStagingBuffer* staging);
 
-  /// Block until everything up to `lsn` is durable (group commit).
+  /// Block until everything up to `lsn` is durable (group commit), through
+  /// a stack-local ack: WaitDurable(&ack, 0).
   void WaitDurable(Lsn lsn);
 
-  /// Deadline-bounded WaitDurable: block until `lsn` is durable or the
-  /// absolute deadline (NowNanos clock) passes, whichever is first. Returns
-  /// true when durable. `deadline_ns == 0` degrades to WaitDurable (always
-  /// true). Unlike WaitDurable's per-thread settlement node this polls the
-  /// durable LSN at flush cadence under the flush mutex — an abandoned wait
-  /// must leave no node behind for the flusher to settle.
-  bool WaitDurableUntil(Lsn lsn, uint64_t deadline_ns);
+  /// Wait until `ack->lsn` (filled by the caller, with `park_ns`) is
+  /// durable. The caller leads a pass when the flush role is free, and
+  /// otherwise parks `ack` for the running pass to settle or to promote it
+  /// to lead the next one. With a deadline (absolute, NowNanos clock; 0 =
+  /// none) the caller leads only when the measured pass time fits its
+  /// remaining budget, and waits at the latest until the deadline: then it
+  /// returns false with `ack` still parked, to settle like a speculative
+  /// ack — so a deadline wait needs a ring-owned ack (DeferredAckRing).
+  /// Returns true with `ack` in a terminal state otherwise.
+  bool WaitDurable(DeferredAck* ack, uint64_t deadline_ns);
 
   /// Asynchronous alternative to WaitDurable (speculative commits): park
   /// `ack` — its `lsn` and `park_ns` already filled by the caller — on the
-  /// dependency-settlement queue and return immediately. The flusher
-  /// settles it (state kParked -> kDurable) in the pass that makes its LSN
-  /// durable, or as kLost at shutdown if the horizon never hardens. Fast
-  /// path: when the LSN is already durable (or durability is off) the ack
-  /// settles inline as kDurable and this returns false — nothing was
-  /// parked. The node must stay alive until it reaches a terminal state;
-  /// DeferredAckRing provides that lifetime.
+  /// ack queue and return immediately. The pass that makes its LSN durable
+  /// settles it (kParked -> kDurable), or shutdown settles it as kLost if
+  /// the horizon never hardens. Fast path: when the LSN is already durable
+  /// (or durability is off) the ack settles inline as kDurable and this
+  /// returns false — nothing was parked. The node must stay alive until it
+  /// reaches a terminal state; DeferredAckRing provides that lifetime.
   bool ParkDeferred(DeferredAck* ack);
 
   Lsn durable_lsn() const { return durable_lsn_.load(std::memory_order_acquire); }
   /// End of the contiguously *published* prefix (every record below it is
-  /// completely filled; the flusher may harden up to here).
+  /// completely filled; a pass may harden up to here).
   Lsn appended_lsn() const {
     return watermark_.load(std::memory_order_acquire);
   }
@@ -165,15 +155,6 @@ class LogManager {
   LogStats Stats() const;
 
  private:
-  /// One committer waiting for its commit record to harden. Nodes are
-  /// thread-local (one outstanding WaitDurable per thread) and pushed onto
-  /// `waiters_` latch-free; the flusher owns them until it sets `done`.
-  struct CommitWaiter {
-    Lsn lsn = 0;
-    std::atomic<bool> done{false};
-    CommitWaiter* next = nullptr;
-  };
-
   // Reservation ticket layout: low kSeqShift bits = byte offset (16 TB of
   // log — the documented capacity limit), high 20 bits = record sequence
   // number. One fetch-add claims both, so slot order always equals LSN
@@ -188,8 +169,9 @@ class LogManager {
 
   /// One publish slot (bounded-MPMC style). `tag` sequences ownership in
   /// modular seq space: a writer with record seq `s` may fill the slot only
-  /// when tag == s (stores tag = s + 1 after writing `end`); the flusher
-  /// consumes when tag == s + 1 and re-arms with tag = s + slots,
+  /// when tag == s (stores tag = s + 1 after writing `end`); the consumer
+  /// (a pass, or a writer helping from backpressure) consumes when
+  /// tag == s + 1 and re-arms with tag = s + slots,
   /// readmitting the writer of the next round. The tag's release/acquire
   /// pairs order the plain `end` field and the ring bytes.
   ///
@@ -203,10 +185,11 @@ class LogManager {
     uint64_t end = 0;
   };
 
-  Lsn AppendReserve(uint64_t txn_id, LogRecordType type, const void* payload,
-                    uint32_t payload_len);
-  Lsn AppendLatched(uint64_t txn_id, LogRecordType type, const void* payload,
-                    uint32_t payload_len);
+  /// Claim `total` bytes and their publish slot (sequence in `*seq`),
+  /// waiting out ring-space and slot backpressure; returns the start LSN.
+  Lsn Reserve(size_t total, uint64_t* seq);
+  /// Publish a filled reservation ending at `end`; returns `end`.
+  Lsn Publish(uint64_t seq, Lsn end, uint64_t records);
   /// Split the staged records into plain/envelope segments (no copying;
   /// fills the staging buffer's reusable scratch).
   void PlanBatchSegments(LogStagingBuffer* staging) const;
@@ -214,13 +197,9 @@ class LogManager {
   /// the ring copy, and write the sealed header(s). Returns wire bytes.
   size_t SealSegmentIntoRing(LogStagingBuffer* staging,
                              const LogBatchSegment& seg, Lsn at);
-  /// Publish one reservation's worth of segments (reserve / latched path).
-  Lsn PublishChunkReserve(LogStagingBuffer* staging,
-                          const LogBatchSegment* segs, size_t n,
-                          size_t total);
-  Lsn PublishChunkLatched(LogStagingBuffer* staging,
-                          const LogBatchSegment* segs, size_t n,
-                          size_t total);
+  /// Publish one reservation's worth of segments.
+  Lsn PublishChunk(LogStagingBuffer* staging, const LogBatchSegment* segs,
+                   size_t n, size_t total);
   void CopyIntoRing(Lsn at, const void* src, size_t len);
   /// CopyIntoRing fused with a CRC32C extension over the copied bytes.
   uint32_t CopyIntoRingCrc(Lsn at, const void* src, size_t len, uint32_t crc);
@@ -228,25 +207,34 @@ class LogManager {
   void BackpressurePause();
 
   void FlusherLoop();
-  void FlushOnce();
   /// Consume contiguously published slots and advance `watermark_`.
   /// Returns true iff it advanced. Caller must hold `publish_latch_`.
   bool AdvanceWatermarkLocked();
-  /// Try to take the consumer role and advance the watermark; returns true
-  /// only when the watermark actually moved (false when another thread is
-  /// already consuming or nothing is publishable — callers should back
-  /// off then). Writers call this from slot backpressure (cooperative
-  /// publish) so progress never waits on the flusher's wake-up cadence.
+  /// AdvanceWatermarkLocked unless another thread is consuming; true only
+  /// when the watermark moved. Writers call it from slot backpressure
+  /// (cooperative publish), so publication never waits for a pass.
   bool TryAdvanceWatermark();
   void EmitToSink(Lsn from, Lsn to);
-  /// Wake satisfied committers (consolidated policy; flusher thread only).
-  /// With `shutdown` set, every waiter is released regardless of LSN.
-  void SettleWaiters(bool shutdown);
-  /// Settle parked deferred acks whose horizon is now durable (flusher
-  /// thread only). With `shutdown` set, still-unsatisfied acks settle as
-  /// kLost — their dependencies aborted with the log, so they must never
-  /// be reported as committed.
-  void SettleDeferredAcks(bool shutdown);
+
+  /// Settle `ack` as kDurable now if durable (or durability is off).
+  bool SettledInline(DeferredAck* ack);
+
+  // ---- the flush role (role holder only, except the first two) ----
+  bool TryTakeRole();
+  /// Push `ack` onto the ack queue as `state`; seq_cst, to pair with the
+  /// queue re-check in HandOffRole.
+  void Enqueue(DeferredAck* ack, uint32_t state);
+  /// Accumulate (committers only), pass, settle, hand off.
+  void LeadPass(bool committer);
+  /// Harden [durable, watermark); false when there was nothing to harden.
+  bool RunPass();
+  void AbsorbIncoming();  ///< incoming_ -> pending_, folding gap samples
+  void FoldGap(uint64_t gap_cycles);
+  /// Settle the pending acks the durable LSN covers (with `shutdown`, the
+  /// rest as kLost); returns how many waiting owners it saw.
+  uint32_t SettleAcks(bool shutdown);
+  /// Promote a waiting owner the last pass left uncovered, or release.
+  void HandOffRole();
 
   LogOptions options_;
   size_t slot_mask_ = 0;
@@ -254,29 +242,33 @@ class LogManager {
   /// Publish slots, indexed by record seq & slot_mask_ (see PublishSlot).
   std::unique_ptr<PublishSlot[]> slots_;
 
-  SpinLatch append_latch_;  ///< kLatched mode only
   std::atomic<uint64_t> ticket_{0};
   std::atomic<Lsn> watermark_{0};
   std::atomic<Lsn> durable_lsn_{0};
   std::atomic<uint64_t> records_{0};
   std::atomic<uint64_t> flushes_{0};
 
-  std::atomic<CommitWaiter*> waiters_{nullptr};  ///< incoming (Treiber push)
-  CommitWaiter* pending_ = nullptr;              ///< flusher-private
+  /// Taken with an acquire exchange; released with a seq_cst store or
+  /// handed to a promoted owner by the kLead store.
+  std::atomic<bool> role_{false};
+  /// Ack queue: a Treiber stack any thread pushes onto, folded into the
+  /// role holder's private list.
+  std::atomic<DeferredAck*> incoming_{nullptr};
+  DeferredAck* pending_ = nullptr;
+  /// Accumulation rule, in RdCycles: a pass's device leg (atomic: deadline
+  /// waiters read it), committers' time between commits, and how many
+  /// committers the last pass saw waiting.
+  std::atomic<uint64_t> pass_cycles_{0};
+  uint64_t gap_cycles_ = 0;
+  uint32_t cohort_ = 0;
 
-  /// Dependency-settlement queue (speculative commits): same incoming /
-  /// flusher-private split as the commit waiters above.
-  std::atomic<DeferredAck*> deferred_{nullptr};
-  DeferredAck* deferred_pending_ = nullptr;
-
-  /// Serializes the consumer role (watermark advance). Held briefly by the
-  /// flusher each pass and by writers helping from slot backpressure.
+  /// Serializes the consumer role (watermark advance). Held briefly by each
+  /// pass and by writers helping from slot backpressure.
   SpinLatch publish_latch_;
   uint64_t next_seq_ = 0;  ///< protected by publish_latch_
 
   std::mutex flush_mu_;
-  std::condition_variable flush_cv_;    // waking the flusher
-  std::condition_variable durable_cv_;  // waking committers (kBroadcast)
+  std::condition_variable flush_cv_;  // waking the background flusher
   bool stop_ = false;
   std::thread flusher_;
 };

@@ -49,8 +49,8 @@ enum class Counter : uint32_t {
   // -- log / commit pipeline --
   kLogResvRetries,          ///< backpressure pauses in the log append path
                             ///< (ring space or publish-slot waits)
-  kGroupCommitWaitersWoken, ///< committers woken individually by the
-                            ///< consolidated group-commit queue
+  kGroupCommitWaitersWoken, ///< committers released by another thread's
+                            ///< log pass (followers settled while parked)
   kLogChecksumFail,         ///< records rejected on read-back (CRC mismatch
                             ///< or torn tail)
   kLogBatchAppends,         ///< batch publications (one ring reservation
@@ -96,9 +96,9 @@ enum class Counter : uint32_t {
                        ///< durability-dependency horizon (the speculative
                        ///< read capture point)
   kTxnDeferredAcks,    ///< commits whose externalization was parked on the
-                       ///< dependency-settlement queue instead of waiting
+                       ///< log's ack queue instead of waiting
   kTxnDepSettleNs,     ///< nanoseconds parked acks spent waiting for their
-                       ///< dependency horizon to harden (flusher-side)
+                       ///< dependency horizon to harden (settle-side)
   kTxnDepAbortedAcks,  ///< parked acks settled as LOST (dependency horizon
                        ///< never became durable — shutdown / crash path)
 

@@ -37,8 +37,9 @@ class AgentContext {
   Rng& rng() { return rng_; }
 
   /// Parked commit acknowledgements of this agent's speculative commits
-  /// (TxnOptions::speculative_reads). The ring's destructor drains, so the
-  /// flusher never holds a pointer into a dead agent — but the LogManager
+  /// (TxnOptions::speculative_reads) and of deadline commits that outran
+  /// their budget. The ring's destructor drains, so the log's ack queue
+  /// never holds a pointer into a dead agent — but the LogManager
   /// must still be alive (or already shut down, which settles everything)
   /// when the agent is destroyed with acks outstanding.
   DeferredAckRing& deferred_acks() { return deferred_acks_; }

@@ -181,23 +181,28 @@ void TransactionManager::CommitExternalize(AgentContext* agent, Lsn horizon) {
     CommitWaitDurable(horizon);
     return;
   }
-  // Speculative: never stall the agent on the flusher. The fast check
+  // Speculative or deadline-bounded: either way the acknowledgement may
+  // outlive this call, so it goes through a ring-owned ack. The fast check
   // avoids burning a ring slot when the horizon already hardened (the
-  // dominant case on read-mostly workloads); otherwise park a deferred ack
-  // and let the flusher externalize the commit when the horizon does.
+  // dominant case on read-mostly workloads).
   if (log_manager_->durable_lsn() >= horizon) return;
-  if (!options_.speculative_reads) {
-    // Deadline-bounded durable wait. The transaction IS committed at this
-    // point (its commit record is inserted), so an expired budget cannot
-    // abort it — instead externalization degrades to the speculative
-    // contract: park a DeferredAck and hand the acknowledgement to the
-    // flusher, freeing the agent to answer its next arrival on time.
-    if (log_manager_->WaitDurableUntil(horizon, deadline_ns)) return;
-    CountEvent(Counter::kTxnDeadlineDeferredAcks);
-  }
   DeferredAck* ack = agent->deferred_acks().Acquire();
   ack->lsn = horizon;
   ack->park_ns = NowNanos();
+  if (!options_.speculative_reads) {
+    // Deadline-bounded durable wait on the ack. The transaction IS
+    // committed at this point (its commit record is inserted), so an
+    // expired budget cannot abort it — instead externalization degrades to
+    // the speculative contract: the ack stays parked and settles when the
+    // horizon hardens, freeing the agent to answer its next arrival on
+    // time.
+    if (log_manager_->WaitDurable(ack, deadline_ns)) return;
+    CountEvent(Counter::kTxnDeadlineDeferredAcks);
+    CountEvent(Counter::kTxnDeferredAcks);
+    return;
+  }
+  // Speculative: never stall the agent; the pass that hardens the horizon
+  // externalizes the commit.
   if (log_manager_->ParkDeferred(ack)) {
     CountEvent(Counter::kTxnDeferredAcks);
   }

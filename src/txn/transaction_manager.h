@@ -30,8 +30,8 @@ namespace slidb {
 
 struct TxnOptions {
   /// Release locks (with SLI inheritance) after the commit record is
-  /// *inserted* but before it is *durable*. Safe under group commit: the
-  /// flusher hardens the log strictly in LSN order, so any transaction that
+  /// *inserted* but before it is *durable*. Safe under group commit: log
+  /// passes harden the log strictly in LSN order, so any transaction that
   /// observes our released writes appends its own commit record after ours
   /// and cannot become durable before us. When false, locks are held until
   /// the commit record is on "disk" (the legacy ordering).
@@ -55,16 +55,15 @@ struct TxnOptions {
   /// whose durability horizon — the commit LSNs of every early-released
   /// writer it observed (LockClient::NoteDep), plus its own commit record —
   /// is not yet durable does NOT block in WaitDurable: it parks a
-  /// DeferredAck on the log flusher's dependency-settlement queue and
-  /// Commit() returns immediately. Externalization (the client
-  /// acknowledgement) moves to the ack's settlement, which the flusher
-  /// performs in the pass that hardens the horizon, so the ELR soundness
-  /// invariant (nothing externalizes before every record it depends on is
-  /// parseable from the durable stream) holds unchanged. Off by default:
-  /// direct API callers keep the synchronous contract that Commit()'s
-  /// return IS the durable acknowledgement; deferred-ack consumers must
-  /// drain their agent's ring (AgentContext::DrainDeferredAcks) before
-  /// treating the session as quiesced. Ignored (synchronous) when
+  /// DeferredAck on the log's ack queue and Commit() returns immediately.
+  /// Externalization (the client acknowledgement) moves to the ack's
+  /// settlement, performed by the pass that hardens the horizon, so the
+  /// ELR soundness invariant (nothing externalizes before every record it
+  /// depends on is parseable from the durable stream) holds unchanged.
+  /// Off by default: direct API callers keep the synchronous contract that
+  /// Commit()'s return IS the durable acknowledgement; deferred-ack
+  /// consumers must drain their agent's ring (AgentContext::DrainDeferredAcks)
+  /// before treating the session as quiesced. Ignored (synchronous) when
   /// early_lock_release is off for read-write transactions — legacy
   /// ordering holds locks across the durable wait by definition.
   bool speculative_reads = false;
@@ -170,8 +169,9 @@ class TransactionManager {
   void CommitReleaseLocks(AgentContext* agent, Lsn commit_lsn);
   void CommitWaitDurable(Lsn lsn);
   /// End game of the commit pipeline: make the commit externalizable at
-  /// `horizon`. Synchronous mode blocks (WaitDurable); speculative mode
-  /// parks a deferred ack on the settlement queue and returns.
+  /// `horizon`. Synchronous mode blocks (WaitDurable) — with a deadline, on
+  /// a ring-owned ack it may abandon; speculative mode parks the ack and
+  /// returns.
   void CommitExternalize(AgentContext* agent, Lsn horizon);
 
   /// Record that `txn`'s next publish is its first: capture a conservative

@@ -174,11 +174,13 @@ DriverResult RunWorkload(Database& db, Workload& workload,
         std::chrono::microseconds(static_cast<int64_t>(s * 1e6)));
   };
   sleep_s(options.warmup_s);
+  const uint64_t flushes_begin = db.log_manager().Stats().flushes;
   const uint64_t t_begin = NowNanos();
   phase.store(1, std::memory_order_release);
   sleep_s(options.duration_s);
   phase.store(2, std::memory_order_release);
   const uint64_t t_end = NowNanos();
+  const uint64_t flushes_end = db.log_manager().Stats().flushes;
   for (auto& t : threads) t.join();
 
   DriverResult result;
@@ -186,6 +188,7 @@ DriverResult RunWorkload(Database& db, Workload& workload,
   // The measurement window is [phase1, phase2] as seen by the coordinator;
   // agents snapshot within a transaction of those instants.
   result.wall_s = static_cast<double>(t_end - t_begin) / 1e9;
+  result.log_flushes = flushes_end - flushes_begin;
 
   for (AgentSlot& slot : slots) {
     if (!slot.saw_begin || !slot.saw_end) continue;

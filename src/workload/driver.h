@@ -81,6 +81,7 @@ struct DriverResult {
   uint64_t gov_sheds = 0;         ///< admission-queue-full rejections
   uint64_t wait_depth_cancels = 0;///< hot-head wait-depth cancels
   uint64_t deadline_aborts = 0;   ///< commit-entry deadline aborts
+  uint64_t log_flushes = 0;       ///< log passes that hardened bytes
   /// Work/contention breakdown over the measurement window only.
   ProfileSnapshot profile;
   /// Counter deltas over the measurement window only.

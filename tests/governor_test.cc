@@ -1,8 +1,9 @@
 // Overload-governor tests: admission token accounting, queue sheds and
 // deadline timeouts, lock-wait deadline propagation (a waiter past its
 // response budget wakes, fails retryably, and releases its queue position),
-// hot-head wait-depth cancels, and the engine-level admission lifecycle
-// including the commit-entry deadline gate.
+// hot-head wait-depth cancels, the engine-level admission lifecycle
+// including the commit-entry deadline gate, and a commit deadline that
+// expires while another thread's pass holds the log.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,7 +14,11 @@
 #include "src/engine/database.h"
 #include "src/engine/governor.h"
 #include "src/lock/lock_manager.h"
+#include "src/log/log_manager.h"
+#include "src/txn/agent.h"
+#include "src/txn/transaction_manager.h"
 #include "src/util/time_util.h"
+#include "tests/held_pass_script.h"
 
 namespace slidb {
 namespace {
@@ -277,6 +282,56 @@ TEST(GovernorTest, CommitEntryDeadlineAbortsAndRollsBack) {
   ASSERT_TRUE(db.Read(agent.get(), t, rid, buf, 6).ok());
   EXPECT_EQ(std::memcmp(buf, "before", 6), 0);
   ASSERT_TRUE(db.Commit(agent.get()).ok());
+}
+
+TEST(GovernorTest, CommitDeadlineDuringHeldPassParksTheAck) {
+  // Another thread's pass is held inside the sink, so the flush role is
+  // taken. A commit whose budget runs out during that hold must return
+  // promptly after its deadline with its acknowledgement parked on a
+  // ring-owned ack — the transaction is committed, only its
+  // externalization is deferred — and that ack must settle kDurable once
+  // the held pass lets the log move on.
+  FirstPassGate gate;
+  LogOptions logo;
+  logo.flush_interval_us = 50;
+  gate.Install(&logo);
+  LockManager lock_manager;
+  LogManager log(logo);
+  TxnOptions txo;
+  txo.early_lock_release = true;
+  TransactionManager tm(&lock_manager, &log, txo);
+  std::thread holder([&] {
+    const Lsn lsn = log.Append(999, LogRecordType::kCommit, nullptr, 0);
+    log.WaitDurable(lsn);
+  });
+  gate.AwaitEntered();
+
+  CounterSet counters;
+  ScopedCounterSet routed(&counters);
+  AgentContext agent(0);
+  agent.set_txn_deadline_ns(NowNanos() + 20'000'000);  // 20 ms budget
+  tm.Begin(&agent);
+  const uint64_t deadline_ns = agent.txn().lock_client().deadline_ns();
+  const uint8_t img[4] = {1, 2, 3, 4};
+  tm.LogHeapOp(&agent, LogRecordType::kUpdate, 1, Rid{0, 0}, {}, img);
+  ASSERT_TRUE(tm.Commit(&agent).ok());
+  const uint64_t returned_ns = NowNanos();
+  EXPECT_GE(returned_ns, deadline_ns);
+  EXPECT_LT(returned_ns - deadline_ns, uint64_t{250'000'000})
+      << "the deadline commit did not return promptly after its deadline";
+  EXPECT_EQ(counters.Get(Counter::kTxnDeadlineDeferredAcks), 1u);
+  EXPECT_EQ(agent.deferred_acks().outstanding(), 1u);
+  const Lsn commit_lsn = log.reserved_lsn();
+  EXPECT_LT(log.durable_lsn(), commit_lsn);
+
+  gate.Open();
+  holder.join();
+  agent.DrainDeferredAcks();
+  EXPECT_EQ(agent.deferred_acks().outstanding(), 0u);
+  EXPECT_GE(log.durable_lsn(), commit_lsn);
+  EXPECT_EQ(counters.Get(Counter::kTxnDepAbortedAcks), 0u)
+      << "the parked ack settled kLost instead of kDurable";
+  EXPECT_GT(counters.Get(Counter::kTxnDepSettleNs), 0u);
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
 // Tests for the decentralized log pipeline: latch-free reservation +
 // per-slot publication, ring wrap-around, ring-space and publish-slot
-// backpressure, multi-writer append ordering, and the consolidated
-// group-commit waiter queue. The flush_sink hook captures the exact durable
-// byte stream so every test can verify record integrity end to end. This
-// suite runs under TSan in CI.
+// backpressure, multi-writer append ordering, and leader/follower group
+// commit. The flush_sink hook captures the exact durable byte stream so
+// every test can verify record integrity end to end. This suite runs under
+// TSan in CI.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,11 +15,12 @@
 #include "src/log/log_manager.h"
 #include "src/log/log_record.h"
 #include "src/stats/counters.h"
+#include "tests/held_pass_script.h"
 
 namespace slidb {
 namespace {
 
-/// Captures the durable byte stream emitted by the flusher and checks the
+/// Captures the durable byte stream emitted by the passes and checks the
 /// chunks arrive contiguously from LSN 0.
 struct StreamCapture {
   std::mutex mu;
@@ -128,7 +129,7 @@ TEST(LogPipelineTest, MultiWriterAppendOrderingAndIntegrity) {
     log.WaitDurable(max_end.load());
     EXPECT_GE(log.durable_lsn(), max_end.load());
     EXPECT_EQ(log.Stats().records, uint64_t{kWriters} * kEach);
-  }  // destructor joins the flusher; capture is complete and quiescent
+  }  // destructor runs the shutdown pass; capture is complete and quiescent
 
   EXPECT_TRUE(capture.contiguous);
   const std::vector<ParsedRecord> records = ParseStream(capture.bytes);
@@ -257,7 +258,6 @@ TEST(LogPipelineTest, ConsolidatedGroupCommitWakesWaiters) {
   LogOptions o;
   o.flush_interval_us = 100;
   o.simulated_io_delay_us = 200;  // waits actually block
-  ASSERT_EQ(o.waiter_policy, LogOptions::WaiterPolicy::kConsolidated);
 
   constexpr int kThreads = 6;
   constexpr int kCommitsEach = 20;
@@ -287,61 +287,16 @@ TEST(LogPipelineTest, ConsolidatedGroupCommitWakesWaiters) {
   EXPECT_LE(woken, uint64_t{kThreads} * kCommitsEach);
 }
 
-TEST(LogPipelineTest, BroadcastPolicyStillGroupCommits) {
-  LogOptions o;
-  o.flush_interval_us = 200;
-  o.waiter_policy = LogOptions::WaiterPolicy::kBroadcast;
-  LogManager log(o);
-  constexpr int kThreads = 4;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      for (int i = 0; i < 25; ++i) {
-        const Lsn lsn = log.Append(t + 1, LogRecordType::kCommit, nullptr, 0);
-        log.WaitDurable(lsn);
-        EXPECT_GE(log.durable_lsn(), lsn);
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(log.Stats().records, uint64_t{kThreads} * 25);
-}
-
-TEST(LogPipelineTest, LatchedAppendModeParity) {
-  StreamCapture capture;
-  LogOptions o;
-  o.buffer_bytes = 1 << 14;
-  o.append_mode = LogOptions::AppendMode::kLatched;
-  o.flush_interval_us = 20;
-  capture.Install(&o);
-
-  constexpr int kWriters = 2;
-  constexpr uint32_t kEach = 200;
-  {
-    LogManager log(o);
-    std::vector<std::thread> threads;
-    for (int w = 0; w < kWriters; ++w) {
-      threads.emplace_back([&, w] {
-        for (uint32_t i = 0; i < kEach; ++i) {
-          const std::vector<uint8_t> p =
-              PayloadFor(static_cast<uint32_t>(w), i, 40);
-          log.Append(400 + w, LogRecordType::kUpdate, p.data(),
-                     static_cast<uint32_t>(p.size()));
-        }
-      });
-    }
-    for (auto& t : threads) t.join();
-  }
-
-  EXPECT_TRUE(capture.contiguous);
-  const std::vector<ParsedRecord> records = ParseStream(capture.bytes);
-  ASSERT_EQ(records.size(), size_t{kWriters} * kEach);
-  uint32_t next_seq[kWriters] = {};
-  for (const ParsedRecord& r : records) {
-    const auto w = static_cast<uint32_t>(r.txn_id - 400);
-    ASSERT_LT(w, static_cast<uint32_t>(kWriters));
-    ASSERT_EQ(r.payload, PayloadFor(w, next_seq[w]++, 40));
-  }
+TEST(LogPipelineTest, NoFollowerWaitsOnTheTimer) {
+  // The held-pass script with the background flusher's cadence at one
+  // hour: a follower that queued behind the held pass must be settled by
+  // the pass after it or lead it itself, never left for the timer.
+  const HeldPassResult r =
+      RunHeldPassScript(/*flush_interval_us=*/3'600'000'000ull);
+  EXPECT_LT(r.release_ns, uint64_t{10'000'000'000})
+      << "followers waited for the background flusher's timer";
+  EXPECT_EQ(r.records, 4u);
+  EXPECT_EQ(r.flushes, 2u);
 }
 
 TEST(LogPipelineTest, ReservedAppendedDurableLsnOrdering) {
@@ -556,41 +511,6 @@ TEST(LogBatchTest, MultiWriterBatchInterleavingThroughRealValidator) {
   EXPECT_EQ(next_seq[kBatchWriters], kSingles);
 }
 
-TEST(LogBatchTest, LatchedModeBatchParity) {
-  // AppendBatch must produce byte-identical semantics on the legacy
-  // latched path (one latch acquisition per batch).
-  StreamCapture capture;
-  LogOptions o;
-  o.buffer_bytes = 1 << 14;
-  o.append_mode = LogOptions::AppendMode::kLatched;
-  o.flush_interval_us = 20;
-  capture.Install(&o);
-
-  constexpr uint32_t kBatches = 50;
-  {
-    LogManager log(o);
-    LogStagingBuffer staging;
-    Lsn last = 0;
-    for (uint32_t b = 0; b < kBatches; ++b) {
-      for (uint32_t r = 0; r < 6; ++r) {
-        const std::vector<uint8_t> p = PayloadFor(5, b * 6 + r, 10 + r);
-        staging.Stage(800, LogRecordType::kUpdate, p.data(),
-                      static_cast<uint32_t>(p.size()));
-      }
-      last = log.AppendBatch(&staging);
-    }
-    log.WaitDurable(last);
-    EXPECT_EQ(log.Stats().records, uint64_t{kBatches} * 6);
-  }
-
-  EXPECT_TRUE(capture.contiguous);
-  const std::vector<ParsedRecord> records = ParseStream(capture.bytes);
-  ASSERT_EQ(records.size(), size_t{kBatches} * 6);
-  for (uint32_t i = 0; i < kBatches * 6; ++i) {
-    EXPECT_EQ(records[i].payload, PayloadFor(5, i, 10 + (i % 6)));
-  }
-}
-
 TEST(LogBatchTest, OversizedBatchSplitsAcrossReservations) {
   // A staged batch larger than half the ring must split into several
   // reservations (at segment granularity) and still publish every record
@@ -630,7 +550,7 @@ TEST(LogBatchTest, OversizedBatchSplitsAcrossReservations) {
 // Mixed appenders and committers over a small ring with few slots — the
 // whole pipeline under maximum interleaving. This is the TSan stress
 // target: the reservation fetch-add, slot publish/consume pairs, ring
-// byte hand-off, and consolidated wakeups all race here.
+// byte hand-off, and leader/follower hand-offs all race here.
 TEST(LogPipelineTest, StressMixedAppendAndCommit) {
   StreamCapture capture;
   LogOptions o;

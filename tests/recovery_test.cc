@@ -452,7 +452,7 @@ void RunSweepWorkload(CrashSink* sink, std::vector<ShadowState>* snapshots,
     snapshots->push_back(shadow);
     commit_ids->push_back(id);
   }
-  // Database destructor drains the flusher: the capture is complete.
+  // Database destructor drains the log: the capture is complete.
 }
 
 TEST(RecoverySweepTest, TruncationAtEveryByteYieldsACommittedPrefix) {
@@ -1691,6 +1691,122 @@ TEST(SegmentedEngineTest, CheckpointRecyclesSegmentsAndBoundsRestart) {
   RemoveSegmentFiles(prefix);
 }
 
+// ---- agents write the log device -------------------------------------------
+
+/// Four agents commit TPC-B-style transfers through a Database whose log
+/// is a real device at `o.log_path`. Every synchronous commit may lead a
+/// pass, so the agents — not one flusher thread — write the device, handing
+/// the flush role (and the device's single-writer state) to each other.
+/// After a clean shutdown, recovery must report every acknowledged commit
+/// and the balances must be conserved.
+void AgentsWriteTheDeviceAndRecover(const DatabaseOptions& o) {
+  constexpr int kAgents = 4;
+  constexpr int kAccounts = 32;
+  constexpr int kTransfers = 150;
+  constexpr uint64_t kInitialBalance = 1000;
+  std::vector<Rid> rids(kAccounts);
+  std::atomic<uint64_t> acked{0};
+  {
+    Database db(o);
+    ASSERT_NE(db.log_device(), nullptr);
+    const TableId t = db.CreateTable("accounts");
+    auto setup = db.CreateAgent();
+    db.Begin(setup.get());
+    for (int i = 0; i < kAccounts; ++i) {
+      ASSERT_TRUE(db.Insert(setup.get(), t,
+                            {reinterpret_cast<const uint8_t*>(&kInitialBalance),
+                             sizeof(kInitialBalance)},
+                            &rids[i])
+                      .ok());
+    }
+    ASSERT_TRUE(db.Commit(setup.get()).ok());
+    acked.fetch_add(1);
+
+    std::vector<std::thread> workers;
+    for (int w = 0; w < kAgents; ++w) {
+      workers.emplace_back([&, w] {
+        auto agent = db.CreateAgent(300 + w);
+        Rng rng(7919 * (w + 1));
+        for (int i = 0; i < kTransfers; ++i) {
+          size_t a = rng.Next() % kAccounts;
+          size_t b = rng.Next() % kAccounts;
+          if (a == b) continue;
+          if (b < a) std::swap(a, b);  // canonical order: no deadlocks
+          db.Begin(agent.get());
+          uint64_t ba = 0, bb = 0;
+          const uint64_t d = rng.Next() % 50;
+          if (!db.LockRowExclusive(agent.get(), t, rids[a]).ok() ||
+              !db.LockRowExclusive(agent.get(), t, rids[b]).ok() ||
+              !db.Read(agent.get(), t, rids[a], &ba, sizeof(ba)).ok() ||
+              !db.Read(agent.get(), t, rids[b], &bb, sizeof(bb)).ok() ||
+              ba < d) {
+            db.Abort(agent.get());
+            continue;
+          }
+          ba -= d;
+          bb += d;
+          if (!db.Update(agent.get(), t, rids[a],
+                         {reinterpret_cast<const uint8_t*>(&ba), sizeof(ba)})
+                   .ok() ||
+              !db.Update(agent.get(), t, rids[b],
+                         {reinterpret_cast<const uint8_t*>(&bb), sizeof(bb)})
+                   .ok()) {
+            db.Abort(agent.get());
+            continue;
+          }
+          if (db.Commit(agent.get()).ok()) acked.fetch_add(1);
+        }
+      });
+    }
+    for (auto& th : workers) th.join();
+  }  // clean shutdown
+
+  DatabaseOptions ro = TestOptions();
+  ro.log_segment_bytes = o.log_segment_bytes;
+  Database db(ro);
+  const TableId t = db.CreateTable("accounts");
+  RecoveryReport report;
+  ASSERT_TRUE(db.Recover(o.log_path, &report).ok());
+  EXPECT_FALSE(report.torn_tail);
+  EXPECT_EQ(report.committed_txns, acked.load());
+  const RowMap rows = DumpHeap(db.catalog(), t);
+  ASSERT_EQ(rows.size(), static_cast<size_t>(kAccounts));
+  uint64_t total = 0;
+  for (const auto& [rid, bytes] : rows) {
+    ASSERT_EQ(bytes.size(), sizeof(uint64_t));
+    uint64_t bal = 0;
+    std::memcpy(&bal, bytes.data(), sizeof(bal));
+    total += bal;
+  }
+  EXPECT_EQ(total, kAccounts * kInitialBalance);
+}
+
+TEST(AgentsWriteTheDeviceTest, FileLogDeviceUnderConcurrentLeaders) {
+  DatabaseOptions o = TestOptions();
+  o.log_path = "slidb_agents_device.log";
+  std::remove(o.log_path.c_str());
+  AgentsWriteTheDeviceAndRecover(o);
+  std::remove(o.log_path.c_str());
+}
+
+TEST(AgentsWriteTheDeviceTest, SegmentsRotateUnderConcurrentLeaders) {
+  DatabaseOptions o = TestOptions();
+  o.log_path = "slidb_agents_segments.log";
+  o.log_segment_bytes = 4096;  // dozens of rotations over the run
+  RemoveSegmentFiles(o.log_path);
+  AgentsWriteTheDeviceAndRecover(o);
+  {
+    std::vector<uint8_t> stream;
+    Lsn base = 0;
+    ASSERT_TRUE(SegmentedLogDevice::ReadLog(o.log_path, &stream, &base).ok());
+    EXPECT_GT(stream.size(), 8 * o.log_segment_bytes)
+        << "the run must rotate through several segments";
+    EXPECT_LT(stream.size(), 48 * o.log_segment_bytes)
+        << "RemoveSegmentFiles cleans up at most 64 segments";
+  }
+  RemoveSegmentFiles(o.log_path);
+}
+
 // ---- undo + CLRs: crash during recovery converges ---------------------------
 
 /// Append a heap redo record carrying both a before-image and an
@@ -1818,11 +1934,11 @@ TEST(UndoClrTest, EngineEmitsClrsAndClosesLosersOnRecovery) {
     ASSERT_TRUE(db.Update(agent.get(), t, r1, Bytes("overwrit")).ok());
     ASSERT_TRUE(db.Insert(agent.get(), t, Bytes("stranded"), &r2).ok());
     // Crash with the loser's records published AND flushed, but no
-    // commit: wait for the flusher to push the published records to the
+    // commit: wait for a pass to push the published records to the
     // device, then drop everything after — including the abort record the
     // explicit Abort below would otherwise persist. reserved_lsn, not
-    // appended_lsn: the published watermark lags filled records until the
-    // flusher consumes their slots.
+    // appended_lsn: the published watermark lags filled records until a
+    // pass consumes their slots.
     db.log_manager().WaitDurable(db.log_manager().reserved_lsn());
     sink.Arm(0);
     db.Abort(agent.get());

@@ -190,8 +190,8 @@ TEST(TxnTest, AbortPreservesAgentSpeculation) {
   EXPECT_GT(counters.Get(Counter::kSliReclaimed), 0u);
 }
 
-/// Blocks the flusher's device write until the test opens the gate, putting
-/// the durability point under test control.
+/// Blocks every log pass's device write until the test opens the gate,
+/// putting the durability point under test control.
 struct FlushGate {
   std::mutex mu;
   std::condition_variable cv;
@@ -357,7 +357,7 @@ TEST(TxnTest, ReadOnlyCommitWaitsForObservedWritersDurability) {
 
 TEST(TxnTest, ReadOnlyCommitSkipsLogAndDurableWait) {
   // A transaction that logged nothing must commit without appending a
-  // record or waiting on the flusher — the sink stays gated (a durable
+  // record or waiting for a pass — the sink stays gated (a durable
   // wait would hang and time the test out) and the log stays empty.
   FlushGate gate;
   LockManagerOptions lo;
@@ -378,7 +378,7 @@ TEST(TxnTest, ReadOnlyCommitSkipsLogAndDurableWait) {
   ASSERT_TRUE(tm.Commit(&agent).ok());
   EXPECT_EQ(log_manager.Stats().records, 0u);
   EXPECT_EQ(log_manager.reserved_lsn(), 0u);
-  gate.Open();  // release the flusher for clean shutdown
+  gate.Open();  // release any held pass for clean shutdown
 }
 
 /// FlushGate that also captures the device stream (bytes land only after
@@ -523,7 +523,7 @@ TEST(TxnTest, WriterAbortAfterSpeculativeReadLeavesNoDependency) {
   // An aborting writer stamps no durability horizon on the locks it drops
   // (its effects were undone — there is nothing for a reader to depend
   // on), so the speculative read path over its row must carry no
-  // dependency: the reader's commit returns with the flusher fully gated
+  // dependency: the reader's commit returns with the log fully gated
   // AND parks nothing.
   FlushGate gate;
   LockManagerOptions lo;
@@ -566,7 +566,7 @@ TEST(TxnTest, WriterAbortAfterSpeculativeReadLeavesNoDependency) {
   EXPECT_EQ(rc.Get(Counter::kTxnSpecReads), 0u);
   EXPECT_EQ(rc.Get(Counter::kTxnDeferredAcks), 0u);
   EXPECT_EQ(reader.deferred_acks().outstanding(), 0u);
-  gate.Open();  // release the flusher for clean shutdown
+  gate.Open();  // release any held pass for clean shutdown
 }
 
 TEST(TxnTest, LogBytesTracked) {
