@@ -64,6 +64,14 @@ BenchArgs ParseArgs(int argc, char** argv) {
   return args;
 }
 
+void WriteProvenance(JsonWriter& json, const BenchArgs& args) {
+  json.Key("git_sha").Value(SLIDB_GIT_SHA);
+  json.Key("nproc").Value(
+      static_cast<int64_t>(std::thread::hardware_concurrency()));
+  json.Key("build_type").Value(SLIDB_BUILD_TYPE);
+  json.Key("quick").Value(args.quick);
+}
+
 void JsonWriter::Prefix() {
   if (after_key_) {
     after_key_ = false;

@@ -60,6 +60,12 @@ class JsonWriter {
 
 BenchArgs ParseArgs(int argc, char** argv);
 
+/// Write the provenance keys every BENCH_*.json carries: "git_sha" (the
+/// commit the build was configured from, suffixed "-dirty" when the tree
+/// had uncommitted changes), "nproc" (hardware contexts), "build_type" and
+/// "quick". Call inside the file's top-level object.
+void WriteProvenance(JsonWriter& json, const BenchArgs& args);
+
 /// The simulated lock-queue work set by the last ParseArgs call (the
 /// workload factories read it when building databases).
 uint64_t SimQueueWorkNs();

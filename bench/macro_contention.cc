@@ -198,7 +198,7 @@ int Main(int argc, char** argv) {
   JsonWriter json;
   json.BeginObject();
   json.Key("bench").Value("macro_contention");
-  json.Key("quick").Value(args.quick);
+  WriteProvenance(json, args);
   json.Key("agents").Value(agents);
   json.Key("num_items").Value(base.num_items);
   json.Key("rows").BeginArray();

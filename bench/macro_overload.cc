@@ -253,7 +253,7 @@ int Main(int argc, char** argv) {
   JsonWriter json;
   json.BeginObject();
   json.Key("bench").Value("macro_overload");
-  json.Key("quick").Value(args.quick);
+  WriteProvenance(json, args);
   json.Key("agents").Value(cell.agents);
   json.Key("max_inflight").Value(static_cast<uint64_t>(cell.max_inflight));
   json.Key("max_queue").Value(static_cast<uint64_t>(cell.max_queue));

@@ -8,9 +8,9 @@
 //
 // Section 2 — commit pipeline end-to-end (the headline): TPC-B and the
 // TM1 full mix with a realistic log-device latency charged per flush,
-// comparing the legacy pipeline (per-record appends, locks held across the
-// durable wait) against the decentralized one (staged appends + early lock
-// release) and the speculative one. Every row reports the flushes and
+// comparing the legacy pipeline (locks held across the durable wait)
+// against the decentralized one (early lock release) and the speculative
+// one; all three publish staged appends. Every row reports the flushes and
 // commits per flush of its measurement window: under a slow device,
 // leader/follower group commit must still batch.
 //
@@ -172,10 +172,10 @@ WorkloadSample RunWorkloadPoint(PaperWorkload& pw, const char* config,
 }
 
 /// A fresh database + loaded workload with the commit pipeline configured
-/// as "legacy" (per-record appends, locks held until durable),
-/// "decentralized" (the defaults: staged appends + ELR + synchronous
-/// horizon waits) or "speculative" (decentralized + asynchronous commit
-/// dependencies — commits park deferred acks instead of stalling).
+/// as "legacy" (ELR off: locks held until durable), "decentralized" (the
+/// defaults: ELR + synchronous horizon waits) or "speculative"
+/// (decentralized + asynchronous commit dependencies — commits park
+/// deferred acks instead of stalling).
 std::unique_ptr<PaperWorkload> MakeConfigured(const char* which,
                                               const char* config, bool sli,
                                               bool quick) {
@@ -183,7 +183,6 @@ std::unique_ptr<PaperWorkload> MakeConfigured(const char* which,
   o.log.simulated_io_delay_us = kLogIoDelayUs;
   if (std::strcmp(config, "legacy") == 0) {
     o.txn.early_lock_release = false;
-    o.txn.staged_log_appends = false;  // per-record appends, PR-2 baseline
   } else if (std::strcmp(config, "speculative") == 0) {
     o.txn.speculative_reads = true;
   }
@@ -365,7 +364,7 @@ int Main(int argc, char** argv) {
   JsonWriter json;
   json.BeginObject();
   json.Key("bench").Value("macro_workloads");
-  json.Key("quick").Value(args.quick);
+  WriteProvenance(json, args);
   json.Key("log_io_delay_us").Value(kLogIoDelayUs);
   json.Key("log_append").BeginArray();
   for (const LogAppendSample& s : log_samples) {

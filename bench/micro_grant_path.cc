@@ -138,8 +138,8 @@ int Main(int argc, char** argv) {
   JsonWriter json;
   json.BeginObject();
   json.Key("bench").Value("micro_grant_path");
+  WriteProvenance(json, args);
   json.Key("iters").Value(iters);
-  json.Key("quick").Value(args.quick);
   json.Key("results").BeginArray();
   for (const Sample& s : samples) {
     json.BeginObject();

@@ -326,7 +326,7 @@ int Main(int argc, char** argv) {
   JsonWriter json;
   json.BeginObject();
   json.Key("bench").Value("micro_recovery");
-  json.Key("quick").Value(args.quick);
+  WriteProvenance(json, args);
   json.Key("log_bytes").Value(static_cast<uint64_t>(w.stream.size()));
   json.Key("records").Value(w.records);
   json.Key("committed_txns").Value(w.committed);

@@ -5,7 +5,7 @@
 # Defaults: build/ and the repo root; pass --quick (default) or longer
 # windows via extra args. Produces:
 #   $OUT_DIR/BENCH_lockmgr.json    (micro_grant_path: grant-path latency)
-#   $OUT_DIR/BENCH_btree.json      (micro_btree: OLC vs crabbing probes)
+#   $OUT_DIR/BENCH_btree.json      (micro_btree: OLC probe + churn scaling)
 #   $OUT_DIR/BENCH_workloads.json  (macro_workloads: log append + TPC-B/TM1)
 #   $OUT_DIR/BENCH_recovery.json   (micro_recovery: log scan + redo replay)
 #   $OUT_DIR/BENCH_contention.json (macro_contention: SLI policy x skew matrix)

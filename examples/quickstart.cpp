@@ -74,8 +74,7 @@ int main() {
   //    counters to a local set so we can print them. In production SLI only
   //    inherits *hot* locks (criterion 2) — with a single quiet agent
   //    nothing ever becomes hot, so for this demo we waive that criterion.
-  db.SetSliEnabled(true);
-  db.lock_manager().mutable_options().sli_require_hot = false;
+  db.SetSliMode(SliMode::kAlwaysInherit);
   CounterSet counters;
   {
     ScopedCounterSet routed(&counters);

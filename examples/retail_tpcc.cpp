@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
   std::printf("\nbaseline: %.0f txn/s (%llu deadlock retries)\n", base.tps,
               static_cast<unsigned long long>(base.deadlock_aborts));
 
-  db.SetSliEnabled(true);
+  db.SetSliMode(SliMode::kOn);
   const DriverResult sli = RunWorkload(db, workload, dopts);
   std::printf("with SLI: %.0f txn/s (%+.1f%%)\n", sli.tps,
               base.tps > 0 ? 100.0 * (sli.tps - base.tps) / base.tps : 0.0);

@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
               base.tps, 100.0 * base.UserAbortRate());
   std::printf("%s", base.profile.ToString().c_str());
 
-  db.SetSliEnabled(true);
+  db.SetSliMode(SliMode::kOn);
   std::printf("\n=== SLI on, %d agents ===\n", agents);
   const DriverResult sli = RunWorkload(db, workload, dopts);
   std::printf("throughput: %.0f txn/s (%+.1f%% vs baseline)\n", sli.tps,

@@ -13,8 +13,7 @@ Database::Database(DatabaseOptions options) : options_(std::move(options)) {
   volume_ = std::make_unique<Volume>();
   buffer_pool_ = std::make_unique<BufferPool>(volume_.get(), options_.buffer);
   if (!options_.log_path.empty() && !options_.log.flush_sink) {
-    const uint32_t cadence =
-        options_.log_sync_each_flush ? options_.log.fsync_every_n_flushes : 0;
+    const uint32_t cadence = options_.log.fsync_every_n_flushes;
     Status st;
     if (options_.log_segment_bytes != 0) {
       std::unique_ptr<SegmentedLogDevice> device;
@@ -166,26 +165,17 @@ void Database::FinishAdmission(AgentContext* agent) {
 
 Status Database::LockRow(AgentContext* agent, TableId table, Rid rid,
                          LockMode mode) {
-  LockClient* c = &agent->txn().lock_client();
-  if (!options_.row_locking) {
-    // Coarse granularity: S/X on the whole table.
-    const LockMode table_mode =
-        (mode == LockMode::kS) ? LockMode::kS : LockMode::kX;
-    return lock_manager_->Lock(c, LockId::Table(options_.db_id, table),
-                               table_mode);
-  }
   return lock_manager_->Lock(
-      c, LockId::Row(options_.db_id, table, rid.page_no, rid.slot), mode);
+      &agent->txn().lock_client(),
+      LockId::Row(options_.db_id, table, rid.page_no, rid.slot), mode);
 }
 
 Status Database::Insert(AgentContext* agent, TableId table,
                         std::span<const uint8_t> rec, Rid* rid) {
   // Announce write intent on the table before touching pages.
-  LockClient* c = &agent->txn().lock_client();
-  if (options_.row_locking) {
-    SLIDB_RETURN_NOT_OK(lock_manager_->Lock(
-        c, LockId::Table(options_.db_id, table), LockMode::kIX));
-  }
+  SLIDB_RETURN_NOT_OK(lock_manager_->Lock(&agent->txn().lock_client(),
+                                          LockId::Table(options_.db_id, table),
+                                          LockMode::kIX));
   HeapFile* heap = catalog_.table(table).heap.get();
   SLIDB_RETURN_NOT_OK(heap->Insert(rec, rid));
   // The row becomes properly visible only through indexes, which are

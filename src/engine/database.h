@@ -31,18 +31,11 @@ struct DatabaseOptions {
   LogOptions log;
   TxnOptions txn;
   BufferPoolOptions buffer;
-  /// Row-level locking (default). When false, data ops take full-table
-  /// S/X locks — the coarse-granularity ablation.
-  bool row_locking = true;
   /// When non-empty, the WAL is persisted to this file (FileLogDevice
   /// behind log.flush_sink) and Recover(log_path) can rebuild state after a
   /// crash. Ignored if log.flush_sink is already set (tests install
   /// capture/crash sinks there).
   std::string log_path;
-  /// fsync the log file (the durability contract across host crashes); the
-  /// cadence is LogOptions::fsync_every_n_flushes (default every flush).
-  /// Off disables fsync entirely, trading durability for bench throughput.
-  bool log_sync_each_flush = true;
   /// Nonzero: the log at log_path is a SegmentedLogDevice with this
   /// per-segment payload capacity — rotated fixed-size segment files,
   /// crash-safe generations, and checkpoint-driven recycling, so log disk
@@ -191,11 +184,6 @@ class Database {
   TransactionManager& txn_manager() { return *txn_manager_; }
   Catalog& catalog() { return catalog_; }
   const DatabaseOptions& options() const { return options_; }
-
-  /// Toggle SLI between runs (no active transactions allowed).
-  void SetSliEnabled(bool enabled) {
-    lock_manager_->mutable_options().enable_sli = enabled;
-  }
 
   /// Apply an SLI policy preset between runs (no active transactions
   /// allowed); see SliMode in lock_manager.h.

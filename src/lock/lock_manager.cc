@@ -502,8 +502,7 @@ void LockManager::ReleaseOne(LockClient* c, LockRequest* r, RequestPool* pool,
   // Only row heads are reclaimed eagerly: high-level heads must persist so
   // their hot-lock history survives between transactions (criterion 2), and
   // there are only O(tables + touched pages) of them.
-  if (empty &&
-      (id.level == LockLevel::kRow || !options_.retain_high_level_heads)) {
+  if (empty && id.level == LockLevel::kRow) {
     if (reclaims != nullptr) {
       reclaims->push_back(id);
     } else {

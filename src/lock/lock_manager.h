@@ -51,11 +51,6 @@ struct LockManagerOptions {
   /// for the hysteresis band to exist.
   uint32_t hot_exit_contended = 1;
 
-  /// Keep page-and-higher lock heads alive when their queues drain so the
-  /// hot-lock history survives between transactions. Row heads are always
-  /// reclaimed eagerly (they are too numerous to retain).
-  bool retain_high_level_heads = true;
-
   /// Extra nanoseconds of work *per queued request* performed inside each
   /// latched lock-queue operation (acquire / upgrade / release). Models the
   /// per-entry traversal and cache-miss cost that makes "the effort

@@ -153,7 +153,6 @@ Lsn LogManager::Publish(uint64_t seq, Lsn end, uint64_t records) {
 void LogManager::PlanBatchSegments(LogStagingBuffer* staging) const {
   std::vector<LogBatchSegment>& segs = staging->seg_scratch_;
   segs.clear();
-  const uint32_t small_bound = options_.batch_seal_max_record_bytes;
   // Bound one envelope's interior: a single CRC never covers more than the
   // format cap, and an envelope always fits comfortably inside one ring
   // reservation even on the tiny rings the tests configure.
@@ -174,13 +173,11 @@ void LogManager::PlanBatchSegments(LogStagingBuffer* staging) const {
     // envelope header would outweigh the saved seal).
     size_t j = i;
     uint32_t run_bytes = 0;
-    if (small_bound > 0) {
-      while (j < n) {
-        const uint32_t lj = rec_len(j);
-        if (lj > small_bound || run_bytes + lj > run_cap) break;
-        run_bytes += lj;
-        ++j;
-      }
+    while (j < n) {
+      const uint32_t lj = rec_len(j);
+      if (lj > kBatchSealMaxRecordBytes || run_bytes + lj > run_cap) break;
+      run_bytes += lj;
+      ++j;
     }
     if (j - i >= 2) {
       segs.push_back({static_cast<uint32_t>(j - i), staging->offsets_[i],
@@ -323,10 +320,7 @@ void WakeOwner(DeferredAck* ack, uint32_t old) {
 }  // namespace
 
 bool LogManager::SettledInline(DeferredAck* ack) {
-  if (options_.durable_commit &&
-      durable_lsn_.load(std::memory_order_acquire) < ack->lsn) {
-    return false;
-  }
+  if (durable_lsn_.load(std::memory_order_acquire) < ack->lsn) return false;
   ack->settle_ns = ack->park_ns;
   ack->state.store(DeferredAck::kDurable, std::memory_order_release);
   return true;

@@ -44,9 +44,6 @@ struct LogOptions {
   /// Per-flush simulated device latency (the paper charges 6 ms per I/O for
   /// data pages; log devices are faster — default 0, configurable).
   uint64_t simulated_io_delay_us = 0;
-  /// When false, WaitDurable returns immediately (for lock-bound
-  /// microbenchmarks that want the log out of the picture).
-  bool durable_commit = true;
 
   /// Bound on reserved-but-unconsumed records in flight (rounded up to a
   /// power of two, clamped to [2, 2^19] — strictly below the 2^20 seq-tag
@@ -57,20 +54,14 @@ struct LogOptions {
   /// quantum even when one writer is preempted mid-fill.
   size_t reservation_slots = 0;
 
-  /// AppendBatch wraps runs of >= 2 consecutive records whose wire size
-  /// (header + payload) is at most this bound in a kBatchSeal envelope:
-  /// one CRC seals the whole run instead of one per record. 0 disables
-  /// envelopes (every batched record is sealed individually).
-  uint32_t batch_seal_max_record_bytes = kBatchSealMaxRecordBytes;
-
   /// fsync cadence for a FileLogDevice attached via DatabaseOptions:
   /// 1 = every flush (default, the strict host-crash durability contract),
   /// N = every Nth flush (coalesced fsync — bytes between syncs survive a
   /// process crash via the page cache but not a host crash; the knob
-  /// exists to measure that cost on a real disk), 0 = never fsync (same
-  /// effect as DatabaseOptions::log_sync_each_flush = false — page-cache
-  /// durability only). For N >= 1 the device still syncs any unsynced
-  /// tail on clean shutdown.
+  /// exists to measure that cost on a real disk), 0 = never fsync
+  /// (page-cache durability only, trading durability for bench
+  /// throughput). For N >= 1 the device still syncs any unsynced tail on
+  /// clean shutdown.
   uint32_t fsync_every_n_flushes = 1;
 
   /// Device-write hook: each pass calls it for each contiguous byte range
@@ -111,8 +102,9 @@ class LogManager {
   /// ONE ticket fetch-add and one publish-slot handoff (it may split into
   /// a few reservations only when it exceeds half the ring), with each
   /// record's seal — lsn patch + CRC — folded into the ring copy loop.
-  /// Runs of small records are wrapped in kBatchSeal envelopes (see
-  /// LogOptions::batch_seal_max_record_bytes). Record order within the
+  /// Runs of >= 2 consecutive records of at most kBatchSealMaxRecordBytes
+  /// on the wire are wrapped in kBatchSeal envelopes: one CRC seals the
+  /// whole run instead of one per record. Record order within the
   /// batch is preserved; an empty staging buffer publishes nothing and
   /// returns appended_lsn().
   Lsn AppendBatch(LogStagingBuffer* staging);
@@ -137,9 +129,9 @@ class LogManager {
   /// ack queue and return immediately. The pass that makes its LSN durable
   /// settles it (kParked -> kDurable), or shutdown settles it as kLost if
   /// the horizon never hardens. Fast path: when the LSN is already durable
-  /// (or durability is off) the ack settles inline as kDurable and this
-  /// returns false — nothing was parked. The node must stay alive until it
-  /// reaches a terminal state; DeferredAckRing provides that lifetime.
+  /// the ack settles inline as kDurable and this returns false — nothing
+  /// was parked. The node must stay alive until it reaches a terminal
+  /// state; DeferredAckRing provides that lifetime.
   bool ParkDeferred(DeferredAck* ack);
 
   Lsn durable_lsn() const { return durable_lsn_.load(std::memory_order_acquire); }
@@ -216,7 +208,7 @@ class LogManager {
   bool TryAdvanceWatermark();
   void EmitToSink(Lsn from, Lsn to);
 
-  /// Settle `ack` as kDurable now if durable (or durability is off).
+  /// Settle `ack` as kDurable now if its LSN is already durable.
   bool SettledInline(DeferredAck* ack);
 
   // ---- the flush role (role holder only, except the first two) ----

@@ -4,23 +4,23 @@
 
 #include "src/stats/counters.h"
 #include "src/stats/profiler.h"
+#include "src/util/epoch.h"
+#include "src/util/latch.h"
 
 namespace slidb {
 
 // Entries are totally ordered by the (key, value) pair, which makes
 // duplicate keys unambiguous: every entry has exactly one location.
 //
-// Fields below the latches are relaxed atomics: optimistic readers race
-// with writers by design (the OptLatch version check discards any torn
-// read), and relaxed atomic accesses make that protocol defined behaviour
-// instead of a data race — on x86 they compile to the same plain loads and
-// stores the latched implementation used. Two discipline rules keep racy
-// values harmless: a pointer read optimistically is dereferenced only
-// after the node it was read from validates, and values (keys, counts)
-// are acted on only after validation.
+// Fields below the latch are relaxed atomics: optimistic readers race with
+// writers by design (the OptLatch version check discards any torn read),
+// and relaxed atomic accesses make that protocol defined behaviour instead
+// of a data race — on x86 they compile to plain loads and stores. Two
+// discipline rules keep racy values harmless: a pointer read optimistically
+// is dereferenced only after the node it was read from validates, and
+// values (keys, counts) are acted on only after validation.
 struct BTree::Node {
-  OptLatch version;  // OLC mode: version-validated access
-  RwLatch latch;     // crabbing mode: reader/writer coupling
+  OptLatch version;  // version-validated access
   const bool leaf;
   std::atomic<uint16_t> count{0};
   std::atomic<uint64_t> keys[kFanout];
@@ -112,8 +112,7 @@ static int UpperBound(const BTree::Node* n, uint64_t k, uint64_t v) {
   return lo;
 }
 
-BTree::BTree(BTreeOptions options)
-    : options_(options), root_(new Node(/*is_leaf=*/true)) {}
+BTree::BTree() : root_(new Node(/*is_leaf=*/true)) {}
 
 BTree::~BTree() {
   FreeTree(root_.load(std::memory_order_acquire));
@@ -212,9 +211,8 @@ void SplitChild(BTree::Node* parent, int child_slot, BTree::Node* child) {
 // (node, version) pairs; a child pointer read from a node is dereferenced
 // only after that node re-validates; writers upgrade exactly the nodes
 // they mutate. Any validation failure unwinds to the restart label after a
-// bounded backoff. Full nodes are split eagerly on the way down (as the
-// crabbing pessimistic pass did), so a parent is never full when its child
-// needs a separator.
+// bounded backoff. Full nodes are split eagerly on the way down, so a
+// parent is never full when its child needs a separator.
 
 bool BTree::SplitNodeOrRestart(Node* parent, uint64_t pv, Node* node,
                                uint64_t v, uint64_t key, uint64_t value) {
@@ -250,7 +248,8 @@ bool BTree::SplitNodeOrRestart(Node* parent, uint64_t pv, Node* node,
   return true;
 }
 
-Status BTree::InsertOptimistic(uint64_t key, uint64_t value) {
+Status BTree::Insert(uint64_t key, uint64_t value) {
+  ScopedComponent comp(Component::kStorage);
   EpochManager::Guard guard(EpochManager::Global());
   RestartBackoff backoff;
 
@@ -328,7 +327,8 @@ restart:
   return Status::OK();
 }
 
-Status BTree::RemoveOptimistic(uint64_t key, uint64_t value) {
+Status BTree::Remove(uint64_t key, uint64_t value) {
+  ScopedComponent comp(Component::kStorage);
   EpochManager::Guard guard(EpochManager::Global());
   RestartBackoff backoff;
 
@@ -386,8 +386,7 @@ restart:
   // sibling (the chain predecessor) and the parent keeps >= 1 separator.
   // The leftmost child and the root stay even when empty — a bounded,
   // documented leak matching the lazy-delete trade-off.
-  const bool reclaim = options_.reclaim_empty_leaves && count == 1 &&
-                       parent != nullptr && node_slot > 0 &&
+  const bool reclaim = count == 1 && parent != nullptr && node_slot > 0 &&
                        Ld16(parent->count) >= 2;
   if (reclaim) {
     parent->version.UpgradeToWriteLockOrRestart(pv, &rs);
@@ -458,9 +457,10 @@ restart:
   return Status::OK();
 }
 
-void BTree::ScanOptimistic(
+void BTree::Scan(
     uint64_t lo, uint64_t hi,
     const std::function<bool(uint64_t key, uint64_t value)>& fn) const {
+  ScopedComponent comp(Component::kStorage);
   EpochManager::Guard guard(EpochManager::Global());
   RestartBackoff backoff;
 
@@ -558,9 +558,10 @@ inline bool PairDecrement(uint64_t* k, uint64_t* v) {
 
 }  // namespace
 
-void BTree::ScanReverseOptimistic(
+void BTree::ScanReverse(
     uint64_t lo, uint64_t hi,
     const std::function<bool(uint64_t key, uint64_t value)>& fn) const {
+  ScopedComponent comp(Component::kStorage);
   EpochManager::Guard guard(EpochManager::Global());
   RestartBackoff backoff;
 
@@ -651,266 +652,7 @@ restart:
   }
 }
 
-// ---- legacy latch crabbing (BTreeOptions::SyncMode::kCrabbing) ----
-
-Status BTree::InsertCrabbing(uint64_t key, uint64_t value) {
-  // Optimistic pass: shared-latch crabbing, exclusive only at the leaf.
-  {
-    root_latch_.AcquireShared();
-    Node* node = root_.load(std::memory_order_relaxed);
-    node->latch.AcquireShared();
-    root_latch_.ReleaseShared();
-    while (!node->leaf) {
-      const int slot = UpperBound(node, key, value);
-      Node* child = LdP(node->children[slot]);
-      if (child->leaf) {
-        child->latch.AcquireExclusive();
-        node->latch.ReleaseShared();
-        if (Ld16(child->count) < kFanout) {
-          const bool ok = LeafInsert(child, key, value);
-          child->latch.ReleaseExclusive();
-          if (!ok) return Status::KeyExists();
-          size_.fetch_add(1, std::memory_order_relaxed);
-          return Status::OK();
-        }
-        child->latch.ReleaseExclusive();
-        goto pessimistic;  // leaf full: need splits
-      }
-      child->latch.AcquireShared();
-      node->latch.ReleaseShared();
-      node = child;
-    }
-    // Root is itself a leaf: drop the shared latch and take the (cheap for
-    // tiny trees) pessimistic path below.
-    node->latch.ReleaseShared();
-  }
-
-pessimistic:
-  // Pessimistic pass: exclusive crabbing with preemptive splits.
-  root_latch_.AcquireExclusive();
-  Node* node = root_.load(std::memory_order_relaxed);
-  node->latch.AcquireExclusive();
-  if (Ld16(node->count) == kFanout) {
-    auto* new_root = new Node(/*is_leaf=*/false);
-    StP(new_root->children[0], node);
-    SplitChild(new_root, 0, node);
-    root_.store(new_root, std::memory_order_release);
-    // Keep descending from the new root; it is non-full by construction.
-    new_root->latch.AcquireExclusive();
-    const int slot = UpperBound(new_root, key, value);
-    Node* child = LdP(new_root->children[slot]);
-    if (child != node) {
-      node->latch.ReleaseExclusive();
-      child->latch.AcquireExclusive();
-    }
-    new_root->latch.ReleaseExclusive();
-    node = child;
-  }
-  root_latch_.ReleaseExclusive();
-
-  while (!node->leaf) {
-    const int slot = UpperBound(node, key, value);
-    Node* child = LdP(node->children[slot]);
-    child->latch.AcquireExclusive();
-    if (Ld16(child->count) == kFanout) {
-      SplitChild(node, slot, child);
-      // Which side does the entry go to?
-      const int new_slot = UpperBound(node, key, value);
-      if (new_slot != slot) {
-        Node* other = LdP(node->children[new_slot]);
-        child->latch.ReleaseExclusive();
-        other->latch.AcquireExclusive();
-        child = other;
-      }
-    }
-    node->latch.ReleaseExclusive();
-    node = child;
-  }
-
-  const bool ok = LeafInsert(node, key, value);
-  node->latch.ReleaseExclusive();
-  if (!ok) return Status::KeyExists();
-  size_.fetch_add(1, std::memory_order_relaxed);
-  return Status::OK();
-}
-
-Status BTree::RemoveCrabbing(uint64_t key, uint64_t value) {
-  // A node's `leaf` flag is immutable after construction, so it can be read
-  // before the node latch: a leaf root is latched exclusively right away.
-  root_latch_.AcquireShared();
-  Node* node = root_.load(std::memory_order_relaxed);
-  if (node->leaf) {
-    node->latch.AcquireExclusive();
-    root_latch_.ReleaseShared();
-  } else {
-    node->latch.AcquireShared();
-    root_latch_.ReleaseShared();
-    while (!node->leaf) {
-      const int slot = UpperBound(node, key, value);
-      Node* child = LdP(node->children[slot]);
-      if (child->leaf) {
-        child->latch.AcquireExclusive();
-      } else {
-        child->latch.AcquireShared();
-      }
-      node->latch.ReleaseShared();
-      node = child;
-    }
-  }
-
-  const int idx = LowerBound(node, key, value);
-  const int count = Ld16(node->count);
-  if (idx >= count || Ld(node->keys[idx]) != key ||
-      Ld(node->vals[idx]) != value) {
-    node->latch.ReleaseExclusive();
-    return Status::NotFound();
-  }
-  for (int i = idx; i + 1 < count; ++i) {
-    St(node->keys[i], Ld(node->keys[i + 1]));
-    St(node->vals[i], Ld(node->vals[i + 1]));
-  }
-  St16(node->count, static_cast<uint16_t>(count - 1));
-  node->latch.ReleaseExclusive();
-  size_.fetch_sub(1, std::memory_order_relaxed);
-  return Status::OK();
-}
-
-void BTree::ScanCrabbing(
-    uint64_t lo, uint64_t hi,
-    const std::function<bool(uint64_t key, uint64_t value)>& fn) const {
-  root_latch_.AcquireShared();
-  Node* node = root_.load(std::memory_order_relaxed);
-  node->latch.AcquireShared();
-  root_latch_.ReleaseShared();
-
-  while (!node->leaf) {
-    // Route toward the smallest pair >= (lo, 0): children[i] holds pairs
-    // below separator i, so descend at the first separator > (lo, 0).
-    // A separator equal to (lo, 0) sends us right, where the pair lives.
-    const int slot = UpperBound(node, lo, 0);
-    Node* child = LdP(node->children[slot]);
-    child->latch.AcquireShared();
-    node->latch.ReleaseShared();
-    node = child;
-  }
-
-  int idx = LowerBound(node, lo, 0);
-  for (;;) {
-    if (idx >= Ld16(node->count)) {
-      Node* next = LdP(node->next);
-      if (next == nullptr) {
-        node->latch.ReleaseShared();
-        return;
-      }
-      next->latch.AcquireShared();
-      node->latch.ReleaseShared();
-      node = next;
-      idx = 0;
-      continue;
-    }
-    const uint64_t k = Ld(node->keys[idx]);
-    const uint64_t v = Ld(node->vals[idx]);
-    if (k > hi) {
-      node->latch.ReleaseShared();
-      return;
-    }
-    if (k >= lo) {
-      if (!fn(k, v)) {
-        node->latch.ReleaseShared();
-        return;
-      }
-    }
-    ++idx;
-  }
-}
-
-void BTree::ScanReverseCrabbing(
-    uint64_t lo, uint64_t hi,
-    const std::function<bool(uint64_t key, uint64_t value)>& fn) const {
-  // Same chunked reverse walk as the OLC variant (see
-  // ScanReverseOptimistic for the cursor / fence reasoning), but each
-  // descent uses shared-latch coupling and the leaf batch is copied out
-  // under the leaf latch, which is dropped before any callback runs.
-  uint64_t ck = hi, cv = UINT64_MAX;
-  uint64_t batch_k[kFanout];
-  uint64_t batch_v[kFanout];
-
-  for (;;) {
-    root_latch_.AcquireShared();
-    Node* node = root_.load(std::memory_order_relaxed);
-    node->latch.AcquireShared();
-    root_latch_.ReleaseShared();
-
-    bool has_fence = false;
-    uint64_t fk = 0, fv = 0;
-    while (!node->leaf) {
-      const int slot = UpperBound(node, ck, cv);
-      if (slot > 0) {
-        has_fence = true;
-        fk = Ld(node->keys[slot - 1]);
-        fv = Ld(node->vals[slot - 1]);
-      }
-      Node* child = LdP(node->children[slot]);
-      child->latch.AcquireShared();
-      node->latch.ReleaseShared();
-      node = child;
-    }
-
-    int n = 0;
-    const int last = UpperBound(node, ck, cv);
-    for (int idx = LowerBound(node, lo, 0); idx < last; ++idx) {
-      batch_k[n] = Ld(node->keys[idx]);
-      batch_v[n] = Ld(node->vals[idx]);
-      ++n;
-    }
-    node->latch.ReleaseShared();
-
-    for (int i = n - 1; i >= 0; --i) {
-      if (!fn(batch_k[i], batch_v[i])) return;
-    }
-
-    uint64_t nk, nv;
-    if (n > 0) {
-      nk = batch_k[0];
-      nv = batch_v[0];
-    } else if (has_fence) {
-      nk = fk;
-      nv = fv;
-    } else {
-      return;
-    }
-    if (!PairDecrement(&nk, &nv) || nk < lo) return;
-    ck = nk;
-    cv = nv;
-  }
-}
-
-// ---- public dispatch ----
-
-Status BTree::Insert(uint64_t key, uint64_t value) {
-  ScopedComponent comp(Component::kStorage);
-  return options_.sync_mode == BTreeOptions::SyncMode::kOptimistic
-             ? InsertOptimistic(key, value)
-             : InsertCrabbing(key, value);
-}
-
-Status BTree::Remove(uint64_t key, uint64_t value) {
-  ScopedComponent comp(Component::kStorage);
-  return options_.sync_mode == BTreeOptions::SyncMode::kOptimistic
-             ? RemoveOptimistic(key, value)
-             : RemoveCrabbing(key, value);
-}
-
-void BTree::Scan(
-    uint64_t lo, uint64_t hi,
-    const std::function<bool(uint64_t key, uint64_t value)>& fn) const {
-  ScopedComponent comp(Component::kStorage);
-  if (options_.sync_mode == BTreeOptions::SyncMode::kOptimistic) {
-    ScanOptimistic(lo, hi, fn);
-  } else {
-    ScanCrabbing(lo, hi, fn);
-  }
-}
+// ---- point lookups (forward scans of one key) ----
 
 Status BTree::Lookup(uint64_t key, uint64_t* value) const {
   bool found = false;
@@ -928,17 +670,6 @@ void BTree::LookupAll(uint64_t key, std::vector<uint64_t>* values) const {
     values->push_back(v);
     return true;
   });
-}
-
-void BTree::ScanReverse(
-    uint64_t lo, uint64_t hi,
-    const std::function<bool(uint64_t key, uint64_t value)>& fn) const {
-  ScopedComponent comp(Component::kStorage);
-  if (options_.sync_mode == BTreeOptions::SyncMode::kOptimistic) {
-    ScanReverseOptimistic(lo, hi, fn);
-  } else {
-    ScanReverseCrabbing(lo, hi, fn);
-  }
 }
 
 // ---- validation ----

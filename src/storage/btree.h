@@ -3,51 +3,34 @@
 // primary and range-scanned secondary indexes (TPC-C needs ordered access:
 // next order id, newest order per customer, last 20 orders per district).
 //
-// Synchronization (default): optimistic lock coupling. Every node carries a
-// versioned OptLatch; readers validate versions instead of acquiring shared
-// latches, so the conflict-free read path performs no stores to shared node
-// memory — the root's cache line stays in shared state across all cores
-// instead of ping-ponging on a latch word. Writers traverse optimistically
-// and upgrade to write locks only at the nodes they mutate, restarting on
-// version conflict with bounded backoff. The legacy reader/writer latch
-// crabbing protocol is kept behind BTreeOptions::sync_mode as the measured
-// baseline (bench/micro_btree).
+// Synchronization: optimistic lock coupling. Every node carries a versioned
+// OptLatch; readers validate versions instead of acquiring shared latches,
+// so the conflict-free read path performs no stores to shared node memory —
+// the root's cache line stays in shared state across all cores instead of
+// ping-ponging on a latch word. Writers traverse optimistically and upgrade
+// to write locks only at the nodes they mutate, restarting on version
+// conflict with bounded backoff.
 //
 // Deletes are lazy: entries are removed in place and nodes never merge, but
-// under OLC a leaf drained to empty is opportunistically unlinked and its
-// memory reclaimed through the epoch manager (optimistic readers may still
-// be inside it). See DESIGN.md "Optimistic lock coupling".
+// a leaf drained to empty is opportunistically unlinked and its memory
+// reclaimed through the epoch manager (optimistic readers may still be
+// inside it). See DESIGN.md "Optimistic lock coupling".
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
-#include "src/util/epoch.h"
-#include "src/util/latch.h"
 #include "src/util/status.h"
 
 namespace slidb {
-
-struct BTreeOptions {
-  enum class SyncMode : uint8_t {
-    kOptimistic,  ///< versioned OptLatch, write-free read path (default)
-    kCrabbing,    ///< legacy reader/writer latch coupling (bench baseline)
-  };
-  SyncMode sync_mode = SyncMode::kOptimistic;
-
-  /// Unlink and epoch-retire leaves drained to empty by Remove (OLC mode
-  /// only; crabbing keeps the seed's fully-lazy behaviour).
-  bool reclaim_empty_leaves = true;
-};
 
 class BTree {
  public:
   static constexpr int kFanout = 64;  ///< max entries per node
 
-  explicit BTree(BTreeOptions options = {});
+  BTree();
   ~BTree();
 
   BTree(const BTree&) = delete;
@@ -67,10 +50,10 @@ class BTree {
   void LookupAll(uint64_t key, std::vector<uint64_t>* values) const;
 
   /// Visit entries with lo <= key <= hi in (key, value) order; return false
-  /// from `fn` to stop early. Under OLC, entries are surfaced leaf-by-leaf:
-  /// each leaf's batch is version-validated before any callback runs, and a
-  /// restart resumes after the last delivered entry (no duplicates, no
-  /// torn reads).
+  /// from `fn` to stop early. Entries are surfaced leaf-by-leaf: each
+  /// leaf's batch is version-validated before any callback runs, and a
+  /// restart resumes after the last delivered entry (no duplicates, no torn
+  /// reads).
   void Scan(uint64_t lo, uint64_t hi,
             const std::function<bool(uint64_t key, uint64_t value)>& fn) const;
 
@@ -85,8 +68,6 @@ class BTree {
 
   uint64_t size() const { return size_.load(std::memory_order_relaxed); }
 
-  const BTreeOptions& options() const { return options_; }
-
   /// Validate structural invariants (test support; caller must be
   /// quiesced): sortedness, fill, and leaf chain consistency. Returns false
   /// on violation.
@@ -97,12 +78,9 @@ class BTree {
   struct Node;
 
  private:
-  BTreeOptions options_;
   std::atomic<Node*> root_;
-  mutable RwLatch root_latch_;  // crabbing mode: protects the root pointer
   std::atomic<uint64_t> size_{0};
 
-  // ---- optimistic lock coupling paths ----
   /// Lock `parent` (or the root pointer when parent == nullptr) and
   /// `node` via their traversal snapshots and split the full `node`.
   /// Returns true when the split happened (caller re-traverses), false on
@@ -110,25 +88,6 @@ class BTree {
   /// released.
   bool SplitNodeOrRestart(Node* parent, uint64_t pv, Node* node, uint64_t v,
                           uint64_t key, uint64_t value);
-  Status InsertOptimistic(uint64_t key, uint64_t value);
-  Status RemoveOptimistic(uint64_t key, uint64_t value);
-  void ScanOptimistic(
-      uint64_t lo, uint64_t hi,
-      const std::function<bool(uint64_t key, uint64_t value)>& fn) const;
-  void ScanReverseOptimistic(
-      uint64_t lo, uint64_t hi,
-      const std::function<bool(uint64_t key, uint64_t value)>& fn) const;
-
-  // ---- legacy latch-crabbing paths (BTreeOptions::SyncMode::kCrabbing) ----
-  Status InsertCrabbing(uint64_t key, uint64_t value);
-  Status RemoveCrabbing(uint64_t key, uint64_t value);
-  void ScanCrabbing(
-      uint64_t lo, uint64_t hi,
-      const std::function<bool(uint64_t key, uint64_t value)>& fn) const;
-  void ScanReverseCrabbing(
-      uint64_t lo, uint64_t hi,
-      const std::function<bool(uint64_t key, uint64_t value)>& fn) const;
-
   void FreeTree(Node* n);
 };
 

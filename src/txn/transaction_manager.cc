@@ -79,11 +79,6 @@ void TransactionManager::MaybeLogBegin(Transaction& txn) {
 void TransactionManager::EmitRecord(Transaction& txn, LogRecordType type,
                                     const void* payload,
                                     uint32_t payload_len) {
-  if (!UseStaging()) {
-    NoteFirstPublish(txn);
-    log_manager_->Append(txn.id(), type, payload, payload_len);
-    return;
-  }
   txn.staging_.Stage(txn.id(), type, payload, payload_len);
   // Long-transaction watermark: publish the partial batch (no commit
   // record yet — the txn still holds its locks, so dependents cannot have
@@ -152,9 +147,6 @@ void TransactionManager::LogIndexOp(AgentContext* agent, LogRecordType type,
 }
 
 Lsn TransactionManager::CommitLogInsert(Transaction& txn) {
-  if (!UseStaging()) {
-    return log_manager_->Append(txn.id(), LogRecordType::kCommit, nullptr, 0);
-  }
   // The commit record rides the SAME batch as the txn's remaining redo
   // records, last in line: one reservation fixes all their LSNs, with the
   // commit record's end LSN as the batch end. ELR stays sound — locks drop
@@ -277,21 +269,16 @@ void TransactionManager::Abort(AgentContext* agent) {
   // transaction that logged nothing appends nothing on abort either.
   txn.RunUndo();
   if (log_manager_ != nullptr && txn.begin_logged_) {
-    if (UseStaging() && !txn.staged_published_) {
-      // Nothing of this transaction ever reached the log: drop the staged
-      // records instead of publishing dead weight — an aborted transaction
-      // is a ghost to recovery either way.
-      txn.staging_.Clear();
-    } else if (UseStaging()) {
-      // A partial batch already published (staging watermark): close the
-      // txn's on-log story with its abort record. Staged-but-unpublished
-      // redo is dropped first — recovery would skip it unconditionally
-      // (the txn is a ghost), so publishing it would be dead log weight.
-      txn.staging_.Clear();
+    // Staged-but-unpublished redo is dropped: recovery would skip it
+    // unconditionally (the txn is a ghost), so publishing it would be dead
+    // log weight. When nothing ever reached the log, that is all — the log
+    // never learns the transaction existed. When a partial batch already
+    // published (staging watermark), the abort record closes the txn's
+    // on-log story.
+    txn.staging_.Clear();
+    if (txn.staged_published_) {
       txn.staging_.Stage(txn.id(), LogRecordType::kAbort, nullptr, 0);
       PublishStaged(txn);
-    } else {
-      log_manager_->Append(txn.id(), LogRecordType::kAbort, nullptr, 0);
     }
   }
   lock_manager_->ReleaseAll(&txn.lock_client(), &agent->sli(),

@@ -37,18 +37,14 @@ struct TxnOptions {
   /// the commit record is on "disk" (the legacy ordering).
   bool early_lock_release = true;
 
-  /// Accumulate a transaction's redo records in its private staging buffer
-  /// and publish them as ONE batch reservation at commit (the commit
-  /// record rides the same batch, after the redo records, so ELR ordering
-  /// is untouched). Amortizes the ring ticket fetch-add and publish-slot
-  /// handoff over the whole transaction and lets small records share a
-  /// kBatchSeal checksum. When false, every record pays its own
-  /// LogManager::Append (the pre-batching path, kept for comparison).
-  bool staged_log_appends = true;
-
-  /// Publish a partial batch once this many staged bytes accumulate, so a
-  /// long transaction cannot pin an unbounded buffer (or overflow the
-  /// ring). Orders of magnitude below the default 8 MiB ring.
+  /// A transaction's redo records accumulate in its private staging buffer
+  /// and publish as ONE batch reservation at commit (the commit record
+  /// rides the same batch, after the redo records, so ELR ordering is
+  /// untouched); small records share a kBatchSeal checksum. A partial batch
+  /// publishes once this many staged bytes accumulate, so a long
+  /// transaction cannot pin an unbounded buffer (or overflow the ring).
+  /// Orders of magnitude below the default 8 MiB ring; 1 publishes every
+  /// record at operation time.
   size_t staging_flush_bytes = 64u << 10;
 
   /// Speculative reads with asynchronous commit dependencies. A commit
@@ -150,18 +146,14 @@ class TransactionManager {
   /// Emit the txn's kBegin record if this is its first mutation.
   void MaybeLogBegin(Transaction& txn);
 
-  /// Route one record to the txn's staging buffer (default) or straight to
-  /// LogManager::Append; fires the staging watermark.
+  /// Stage one record in the txn's staging buffer; fires the staging
+  /// watermark.
   void EmitRecord(Transaction& txn, LogRecordType type, const void* payload,
                   uint32_t payload_len);
 
   /// Publish the txn's staged batch under one reservation; returns its end
   /// LSN (0 when the buffer was empty).
   Lsn PublishStaged(Transaction& txn);
-
-  bool UseStaging() const {
-    return log_manager_ != nullptr && options_.staged_log_appends;
-  }
 
   // Commit pipeline phases. `commit_lsn` stamps released write locks as
   // the durability horizon later acquirers depend on (ELR soundness).

@@ -113,8 +113,8 @@ struct DriverResult {
 };
 
 /// Run `workload` against `db` (already loaded) and measure.
-/// SLI on/off is controlled by the database's lock-manager options
-/// (Database::SetSliEnabled) before calling.
+/// The SLI policy is the database's lock-manager options; switch it with
+/// Database::SetSliMode before calling.
 DriverResult RunWorkload(Database& db, Workload& workload,
                          const DriverOptions& options);
 

@@ -1,9 +1,11 @@
 // Optimistic-lock-coupling coverage: OptLatch protocol unit tests, epoch
-// manager semantics, empty-leaf reclamation, and the concurrent B-tree
+// manager semantics, empty-leaf reclamation, a scripted scan/reclaim
+// interleaving that forces an optimistic restart, and the concurrent B-tree
 // stress test (readers + inserters + removers over duplicate keys and
 // split-heavy ranges) asserting no lost or phantom entries. Runs under
-// TSan in CI next to the lock/log TSan jobs; thread counts are gated on
-// hardware_concurrency() per the ROADMAP flakiness note.
+// TSan in CI next to the lock/log TSan jobs; the stress test's thread
+// counts are gated on hardware_concurrency(), and nothing here asserts on
+// how often threads happen to overlap.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -245,16 +247,55 @@ TEST(BTreeOlcTest, DrainedLeavesAreUnlinkedAndRetired) {
   EXPECT_EQ(v, 18u);
 }
 
-TEST(BTreeOlcTest, ReclaimKnobOffKeepsLazyBehaviour) {
-  CounterSet counters;
-  ScopedCounterSet routed(&counters);
-  BTreeOptions opts;
-  opts.reclaim_empty_leaves = false;
-  BTree tree(opts);
-  for (uint64_t i = 0; i < 2000; ++i) ASSERT_TRUE(tree.Insert(i, i).ok());
-  for (uint64_t i = 0; i < 2000; ++i) ASSERT_TRUE(tree.Remove(i, i).ok());
-  EXPECT_EQ(counters.Get(Counter::kBtreeLeafReclaims), 0u);
-  EXPECT_EQ(tree.size(), 0u);
+// ---- scripted interleaving: a scan steps onto a retired leaf ----
+
+// A forward scan copies a leaf's batch and its `next` pointer, validates,
+// and only then runs the callbacks, with nothing latched. If `next` is
+// unlinked and retired meanwhile, the step onto it must see the obsolete
+// version and restart from the cursor instead of walking the dead chain.
+// The reader parks in its callback on key 0 while this thread drains every
+// later key, so the interleaving happens on any number of CPUs.
+TEST(BTreeOlcTest, ScanStepsOntoRetiredLeafAndRestarts) {
+  BTree tree;
+  for (uint64_t i = 0; i < 200; ++i) ASSERT_TRUE(tree.Insert(i, i).ok());
+
+  std::atomic<int> phase{0};  // 1: reader parked on key 0; 2: resume
+  CounterSet reader_counters;
+  std::vector<std::pair<uint64_t, uint64_t>> delivered;
+  std::thread reader([&] {
+    ScopedCounterSet routed(&reader_counters);
+    tree.Scan(0, UINT64_MAX, [&](uint64_t k, uint64_t v) {
+      delivered.emplace_back(k, v);
+      if (k == 0) {
+        phase.store(1);
+        phase.notify_all();
+        for (int p = phase.load(); p != 2; p = phase.load()) phase.wait(p);
+      }
+      return true;
+    });
+  });
+  for (int p = phase.load(); p != 1; p = phase.load()) phase.wait(p);
+
+  CounterSet remover_counters;
+  {
+    ScopedCounterSet routed(&remover_counters);
+    // Sequential inserts left leaves of 32 keys; keys 32..63 fill the
+    // second leaf, the reader's saved `next`. Draining it unlinks, marks
+    // obsolete and retires it while the reader still points at it.
+    for (uint64_t i = 1; i < 200; ++i) EXPECT_TRUE(tree.Remove(i, i).ok());
+  }
+  phase.store(2);
+  phase.notify_all();
+  reader.join();
+
+  EXPECT_GE(reader_counters.Get(Counter::kBtreeRestarts), 1u);
+  EXPECT_GE(remover_counters.Get(Counter::kBtreeLeafReclaims), 1u);
+  ASSERT_FALSE(delivered.empty());
+  EXPECT_EQ(delivered.front(), std::make_pair(uint64_t{0}, uint64_t{0}));
+  for (size_t i = 1; i < delivered.size(); ++i) {
+    EXPECT_LT(delivered[i - 1], delivered[i]) << "at " << i;
+  }
+  EXPECT_EQ(tree.size(), 1u);
   EXPECT_TRUE(tree.CheckInvariants());
 }
 
@@ -275,12 +316,10 @@ TEST(BTreeOlcStressTest, ReadersInsertersRemoversConverge) {
   BTree tree;
   std::atomic<int> writers_done{0};
   std::vector<std::vector<std::pair<uint64_t, uint64_t>>> kept(kWriters);
-  std::vector<CounterSet> per_thread(kWriters + kReaders);
 
   std::vector<std::thread> threads;
   for (int t = 0; t < kWriters; ++t) {
     threads.emplace_back([&, t] {
-      ScopedCounterSet routed(&per_thread[t]);
       Rng rng(1000 + t);
       std::vector<std::pair<uint64_t, uint64_t>> mine;
       for (int i = 0; i < kOpsPerWriter; ++i) {
@@ -303,7 +342,6 @@ TEST(BTreeOlcStressTest, ReadersInsertersRemoversConverge) {
   }
   for (int r = 0; r < kReaders; ++r) {
     threads.emplace_back([&, r] {
-      ScopedCounterSet routed(&per_thread[kWriters + r]);
       Rng rng(77 + r);
       // Minimum iteration count guarantees coverage even when all writers
       // finish before this thread is first scheduled (single-CPU hosts).
@@ -346,15 +384,6 @@ TEST(BTreeOlcStressTest, ReadersInsertersRemoversConverge) {
   EXPECT_EQ(actual, expected);
   EXPECT_EQ(tree.size(), expected.size());
   EXPECT_TRUE(tree.CheckInvariants());
-
-  CounterSet total;
-  for (const CounterSet& c : per_thread) total.Merge(c);
-  if (hw >= 2) {
-    // With real parallelism the narrow key space guarantees version
-    // conflicts; on a single hardware context restarts need a preemption
-    // mid-write and are not deterministic (ROADMAP flakiness note).
-    EXPECT_GT(total.Get(Counter::kBtreeRestarts), 0u);
-  }
 }
 
 }  // namespace

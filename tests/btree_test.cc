@@ -1,7 +1,6 @@
 // B+-tree tests: ordering, duplicates, splits, scans, invariants, and
-// concurrent stress. Parameterized sweeps cover size regimes around node
-// split boundaries, and run under both synchronization protocols
-// (optimistic lock coupling and the legacy crabbing baseline).
+// concurrent stress. A parameterized sweep covers size regimes around node
+// split boundaries.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,18 +13,6 @@
 
 namespace slidb {
 namespace {
-
-using SyncMode = BTreeOptions::SyncMode;
-
-BTreeOptions WithMode(SyncMode mode) {
-  BTreeOptions opts;
-  opts.sync_mode = mode;
-  return opts;
-}
-
-std::string ModeName(SyncMode mode) {
-  return mode == SyncMode::kOptimistic ? "olc" : "crabbing";
-}
 
 TEST(BTreeTest, EmptyTree) {
   BTree tree;
@@ -68,16 +55,11 @@ TEST(BTreeTest, RemoveExactPair) {
   EXPECT_EQ(tree.size(), 1u);
 }
 
-class BTreeSizeSweep
-    : public ::testing::TestWithParam<std::tuple<int, SyncMode>> {
- protected:
-  int size_param() const { return std::get<0>(GetParam()); }
-  BTreeOptions opts() const { return WithMode(std::get<1>(GetParam())); }
-};
+class BTreeSizeSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(BTreeSizeSweep, SequentialInsertAllFound) {
-  const int n = size_param();
-  BTree tree(opts());
+  const int n = GetParam();
+  BTree tree;
   for (int i = 0; i < n; ++i) {
     ASSERT_TRUE(tree.Insert(i, i * 10).ok()) << i;
   }
@@ -91,8 +73,8 @@ TEST_P(BTreeSizeSweep, SequentialInsertAllFound) {
 }
 
 TEST_P(BTreeSizeSweep, ReverseInsertAllFound) {
-  const int n = size_param();
-  BTree tree(opts());
+  const int n = GetParam();
+  BTree tree;
   for (int i = n - 1; i >= 0; --i) {
     ASSERT_TRUE(tree.Insert(i, i + 1).ok());
   }
@@ -101,7 +83,9 @@ TEST_P(BTreeSizeSweep, ReverseInsertAllFound) {
   uint64_t prev = 0;
   size_t count = 0;
   tree.Scan(0, UINT64_MAX, [&](uint64_t k, uint64_t) {
-    if (count > 0) EXPECT_GT(k, prev);
+    if (count > 0) {
+      EXPECT_GT(k, prev);
+    }
     prev = k;
     ++count;
     return true;
@@ -110,8 +94,8 @@ TEST_P(BTreeSizeSweep, ReverseInsertAllFound) {
 }
 
 TEST_P(BTreeSizeSweep, RandomInsertRemoveConsistent) {
-  const int n = size_param();
-  BTree tree(opts());
+  const int n = GetParam();
+  BTree tree;
   Rng rng(n);
   std::set<uint64_t> model;
   for (int i = 0; i < n; ++i) {
@@ -134,18 +118,11 @@ TEST_P(BTreeSizeSweep, RandomInsertRemoveConsistent) {
   }
 }
 
-// Sizes straddle the 64-entry leaf boundary, two levels, and three levels;
-// every size runs under both synchronization protocols.
-INSTANTIATE_TEST_SUITE_P(
-    Sizes, BTreeSizeSweep,
-    ::testing::Combine(::testing::Values(1, 63, 64, 65, 128, 1000, 5000,
-                                         20000),
-                       ::testing::Values(SyncMode::kOptimistic,
-                                         SyncMode::kCrabbing)),
-    [](const ::testing::TestParamInfo<std::tuple<int, SyncMode>>& info) {
-      return ModeName(std::get<1>(info.param)) + "_" +
-             std::to_string(std::get<0>(info.param));
-    });
+// Sizes straddle the 64-entry leaf boundary, two levels, and three levels.
+INSTANTIATE_TEST_SUITE_P(Sizes, BTreeSizeSweep,
+                         ::testing::Values(1, 63, 64, 65, 128, 1000, 5000,
+                                           20000),
+                         ::testing::PrintToStringParamName());
 
 TEST(BTreeTest, RangeScanBounds) {
   BTree tree;
@@ -200,12 +177,10 @@ TEST(BTreeTest, ReverseScanNewestFirst) {
 
 // ---- reverse scan (bounded-memory chunked re-descent) ----
 
-class BTreeReverseScanSweep : public ::testing::TestWithParam<SyncMode> {};
-
-TEST_P(BTreeReverseScanSweep, FullReverseScanIsForwardReversed) {
+TEST(BTreeReverseScanTest, FullReverseScanIsForwardReversed) {
   // Multi-level tree with duplicate keys: the reverse scan must deliver
   // exactly the forward (key, value) sequence, reversed.
-  BTree tree(WithMode(GetParam()));
+  BTree tree;
   Rng rng(71);
   for (uint64_t i = 0; i < 5000; ++i) {
     // Random keys collide; (key, value) pairs stay unique via the value.
@@ -224,8 +199,8 @@ TEST_P(BTreeReverseScanSweep, FullReverseScanIsForwardReversed) {
   EXPECT_EQ(fwd, rev);
 }
 
-TEST_P(BTreeReverseScanSweep, BoundsInclusiveOnAbsentEndpoints) {
-  BTree tree(WithMode(GetParam()));
+TEST(BTreeReverseScanTest, BoundsInclusiveOnAbsentEndpoints) {
+  BTree tree;
   for (uint64_t i = 0; i < 1000; i += 2) {  // even keys only
     ASSERT_TRUE(tree.Insert(i, i).ok());
   }
@@ -248,10 +223,10 @@ TEST_P(BTreeReverseScanSweep, BoundsInclusiveOnAbsentEndpoints) {
   EXPECT_EQ(seen.back(), 102u);
 }
 
-TEST_P(BTreeReverseScanSweep, ManyDuplicatesDescendByValue) {
+TEST(BTreeReverseScanTest, ManyDuplicatesDescendByValue) {
   // One key spanning ~150 leaves: the chunked walk crosses many same-key
   // leaves via the fence cursor and must emit values strictly descending.
-  BTree tree(WithMode(GetParam()));
+  BTree tree;
   constexpr uint64_t kVals = 10000;
   ASSERT_TRUE(tree.Insert(8, 0).ok());
   ASSERT_TRUE(tree.Insert(10, 0).ok());
@@ -270,8 +245,8 @@ TEST_P(BTreeReverseScanSweep, ManyDuplicatesDescendByValue) {
   EXPECT_EQ(count, kVals);
 }
 
-TEST_P(BTreeReverseScanSweep, EarlyStop) {
-  BTree tree(WithMode(GetParam()));
+TEST(BTreeReverseScanTest, EarlyStop) {
+  BTree tree;
   for (uint64_t i = 0; i < 1000; ++i) ASSERT_TRUE(tree.Insert(i, i).ok());
   int visits = 0;
   tree.ScanReverse(0, UINT64_MAX, [&](uint64_t k, uint64_t) {
@@ -281,8 +256,8 @@ TEST_P(BTreeReverseScanSweep, EarlyStop) {
   EXPECT_EQ(visits, 5);
 }
 
-TEST_P(BTreeReverseScanSweep, EmptyRangesVisitNothing) {
-  BTree empty(WithMode(GetParam()));
+TEST(BTreeReverseScanTest, EmptyRangesVisitNothing) {
+  BTree empty;
   int visits = 0;
   empty.ScanReverse(0, UINT64_MAX, [&](uint64_t, uint64_t) {
     ++visits;
@@ -290,7 +265,7 @@ TEST_P(BTreeReverseScanSweep, EmptyRangesVisitNothing) {
   });
   EXPECT_EQ(visits, 0);
 
-  BTree tree(WithMode(GetParam()));
+  BTree tree;
   for (uint64_t i = 0; i <= 1000; i += 10) {  // multiples of ten
     ASSERT_TRUE(tree.Insert(i, i).ok());
   }
@@ -301,17 +276,8 @@ TEST_P(BTreeReverseScanSweep, EmptyRangesVisitNothing) {
   EXPECT_EQ(visits, 0);
 }
 
-INSTANTIATE_TEST_SUITE_P(Modes, BTreeReverseScanSweep,
-                         ::testing::Values(SyncMode::kOptimistic,
-                                           SyncMode::kCrabbing),
-                         [](const ::testing::TestParamInfo<SyncMode>& info) {
-                           return ModeName(info.param);
-                         });
-
-class BTreeConcurrentModeTest : public ::testing::TestWithParam<SyncMode> {};
-
-TEST_P(BTreeConcurrentModeTest, ConcurrentInsertersDisjointRanges) {
-  BTree tree(WithMode(GetParam()));
+TEST(BTreeConcurrentTest, ConcurrentInsertersDisjointRanges) {
+  BTree tree;
   constexpr int kThreads = 4;
   constexpr int kEach = 5000;
   std::vector<std::thread> threads;
@@ -333,8 +299,8 @@ TEST_P(BTreeConcurrentModeTest, ConcurrentInsertersDisjointRanges) {
   }
 }
 
-TEST_P(BTreeConcurrentModeTest, ConcurrentMixedReadersWriters) {
-  BTree tree(WithMode(GetParam()));
+TEST(BTreeConcurrentTest, ConcurrentMixedReadersWriters) {
+  BTree tree;
   for (uint64_t i = 0; i < 10000; i += 2) ASSERT_TRUE(tree.Insert(i, i).ok());
 
   std::atomic<bool> stop{false};
@@ -367,8 +333,8 @@ TEST_P(BTreeConcurrentModeTest, ConcurrentMixedReadersWriters) {
   EXPECT_TRUE(tree.CheckInvariants());
 }
 
-TEST_P(BTreeConcurrentModeTest, ConcurrentSameKeyDifferentValues) {
-  BTree tree(WithMode(GetParam()));
+TEST(BTreeConcurrentTest, ConcurrentSameKeyDifferentValues) {
+  BTree tree;
   constexpr int kThreads = 4;
   constexpr int kEach = 1000;
   std::vector<std::thread> threads;
@@ -387,13 +353,6 @@ TEST_P(BTreeConcurrentModeTest, ConcurrentSameKeyDifferentValues) {
   EXPECT_TRUE(std::is_sorted(values.begin(), values.end()));
   EXPECT_TRUE(tree.CheckInvariants());
 }
-
-INSTANTIATE_TEST_SUITE_P(Modes, BTreeConcurrentModeTest,
-                         ::testing::Values(SyncMode::kOptimistic,
-                                           SyncMode::kCrabbing),
-                         [](const ::testing::TestParamInfo<SyncMode>& info) {
-                           return ModeName(info.param);
-                         });
 
 }  // namespace
 }  // namespace slidb

@@ -241,25 +241,6 @@ TEST(EngineTest, SliEndToEndThroughTransactionManager) {
   EXPECT_GT(counters.Get(Counter::kSliReclaimed), 0u);
 }
 
-TEST(EngineTest, TableGranularityOptionTakesTableLocks) {
-  DatabaseOptions o = TestOptions();
-  o.row_locking = false;
-  Database db(o);
-  const TableId t = db.CreateTable("t");
-  auto agent = db.CreateAgent();
-
-  db.Begin(agent.get());
-  Rid rid;
-  ASSERT_TRUE(db.Insert(agent.get(), t, Bytes("coarse"), &rid).ok());
-  LockClient& c = agent->txn().lock_client();
-  LockRequest* r = c.cache().Find(LockId::Table(0, t));
-  ASSERT_NE(r, nullptr);
-  EXPECT_EQ(r->mode, LockMode::kX);
-  // No row lock taken.
-  EXPECT_EQ(c.cache().Find(LockId::Row(0, t, rid.page_no, rid.slot)), nullptr);
-  ASSERT_TRUE(db.Commit(agent.get()).ok());
-}
-
 TEST(EngineTest, ConcurrentAgentsWithSliKeepBalanceInvariant) {
   // Mini TPC-B-like invariant check: total of all account balances is
   // conserved by transfer transactions, with SLI on.

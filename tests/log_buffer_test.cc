@@ -118,16 +118,6 @@ TEST(LogTest, DeferredAckLostWhenHorizonNeverHardens) {
   EXPECT_EQ(counters.Get(Counter::kTxnDepAbortedAcks), 1u);
 }
 
-TEST(LogTest, NonDurableModeSkipsWaiting) {
-  LogOptions o;
-  o.durable_commit = false;
-  o.flush_interval_us = 1'000'000;  // background pass basically never runs
-  LogManager log(o);
-  const Lsn lsn = log.Append(1, LogRecordType::kCommit, nullptr, 0);
-  log.WaitDurable(lsn);  // must return immediately
-  SUCCEED();
-}
-
 TEST(LogTest, RingWrapAroundUnderPressure) {
   LogOptions o;
   o.buffer_bytes = 1 << 12;  // 4 KB ring forces wrap + space waits

@@ -907,7 +907,6 @@ TEST(RecoveryEngineTest, AbortBeforePublishLeavesNoTrace) {
   // anyway — this just skips the dead weight).
   CrashSink sink;
   DatabaseOptions o = TestOptions();
-  ASSERT_TRUE(o.txn.staged_log_appends);
   sink.Install(&o.log);
   {
     Database db(o);
@@ -1510,14 +1509,15 @@ TEST(CheckpointSweepTest, ActiveTxnTableWidensRedoAcrossEveryCut) {
   // the index eagerly (latch-only), so the checkpoint image CONTAINS its
   // uncommitted state — if the ATT failed to widen redo below begin-LSN, a
   // cut that leaves the txn a loser would have no record to undo the ghost
-  // entry with. Unstaged appends publish at operation time, making the
-  // scenario constructible single-threadedly with index-only operations
-  // (which take no table locks, so the checkpoint pass cannot block on us).
+  // entry with. A one-byte staging watermark publishes every record at
+  // operation time, making the scenario constructible single-threadedly
+  // with index-only operations (which take no table locks, so the
+  // checkpoint pass cannot block on us).
   CrashSink sink;
   std::vector<ShadowState> snapshots;
   std::vector<uint64_t> commit_ids;
   DatabaseOptions o = TestOptions();
-  o.txn.staged_log_appends = false;
+  o.txn.staging_flush_bytes = 1;
   sink.Install(&o.log);
   {
     Database db(o);
@@ -1920,7 +1920,7 @@ TEST(UndoClrTest, EngineEmitsClrsAndClosesLosersOnRecovery) {
   // log, and close the loser with a kAbort so a second crash skips it.
   CrashSink sink;
   DatabaseOptions o = TestOptions();
-  o.txn.staged_log_appends = false;  // publish at operation time
+  o.txn.staging_flush_bytes = 1;  // publish at operation time
   sink.Install(&o.log);
   Rid r1, r2;
   {

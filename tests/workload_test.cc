@@ -502,7 +502,7 @@ TEST(DriverTest, SliTogglesAcrossRuns) {
   const DriverResult base = RunWorkload(db, tm1, dopts);
   EXPECT_EQ(base.counters.Get(Counter::kSliInherited), 0u);
 
-  db.SetSliEnabled(true);
+  db.SetSliMode(SliMode::kOn);
   const DriverResult with_sli = RunWorkload(db, tm1, dopts);
   EXPECT_GT(with_sli.commits, 0u);
   // On a contended 2-core box the hot tracker may or may not trip within a
