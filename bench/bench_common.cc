@@ -2,7 +2,8 @@
 
 #include <cstdarg>
 #include <cstring>
-#include <thread>
+
+#include "src/util/cpus.h"
 
 namespace slidb::bench {
 
@@ -66,8 +67,7 @@ BenchArgs ParseArgs(int argc, char** argv) {
 
 void WriteProvenance(JsonWriter& json, const BenchArgs& args) {
   json.Key("git_sha").Value(SLIDB_GIT_SHA);
-  json.Key("nproc").Value(
-      static_cast<int64_t>(std::thread::hardware_concurrency()));
+  json.Key("nproc").Value(static_cast<int64_t>(UsableCpus()));
   json.Key("build_type").Value(SLIDB_BUILD_TYPE);
   json.Key("quick").Value(args.quick);
 }
@@ -182,7 +182,7 @@ std::string Fmt(const char* fmt, ...) {
 }
 
 std::vector<int> ThreadLadder(int max_threads) {
-  const int hw = static_cast<int>(std::thread::hardware_concurrency());
+  const int hw = static_cast<int>(UsableCpus());
   const int cap = max_threads > 0 ? max_threads : (hw >= 2 ? hw * 8 : 16);
   std::vector<int> ladder;
   for (int t = 1; t <= cap; t *= 2) ladder.push_back(t);

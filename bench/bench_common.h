@@ -62,7 +62,7 @@ BenchArgs ParseArgs(int argc, char** argv);
 
 /// Write the provenance keys every BENCH_*.json carries: "git_sha" (the
 /// commit the build was configured from, suffixed "-dirty" when the tree
-/// had uncommitted changes), "nproc" (hardware contexts), "build_type" and
+/// had uncommitted changes), "nproc" (usable CPUs), "build_type" and
 /// "quick". Call inside the file's top-level object.
 void WriteProvenance(JsonWriter& json, const BenchArgs& args);
 

@@ -9,6 +9,8 @@
 
 namespace slidb {
 
+class LockManager;
+
 /// Speculative-lock-inheritance state for one agent thread (paper §4.1:
 /// the completing transaction "moves [the request] from the transaction's
 /// private list to a different private list owned by the transaction's
@@ -16,9 +18,15 @@ namespace slidb {
 class AgentSliState {
  public:
   explicit AgentSliState(uint32_t agent_id = 0) : agent_id_(agent_id) {}
+  /// Releases what is still inherited through the lock manager that last
+  /// ran ReleaseAll with this state (LockManager::ReleaseInherited), which
+  /// must still be alive: agents retire before their database.
+  ~AgentSliState();
 
   AgentSliState(const AgentSliState&) = delete;
   AgentSliState& operator=(const AgentSliState&) = delete;
+
+  void set_lock_manager(LockManager* lm) { lock_manager_ = lm; }
 
   uint32_t agent_id() const { return agent_id_; }
   void set_agent_id(uint32_t id) { agent_id_ = id; }
@@ -46,6 +54,7 @@ class AgentSliState {
 
  private:
   uint32_t agent_id_;
+  LockManager* lock_manager_ = nullptr;
   LockRequest* inherited_head_ = nullptr;
   size_t inherited_count_ = 0;
   RequestPool pool_;

@@ -5,26 +5,32 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <mutex>
+#include <thread>
 
 #include "src/lock/lock_cache.h"
 #include "src/lock/lock_request.h"
 #include "src/stats/counters.h"
+#include "src/util/futex.h"
 
 namespace slidb {
 
 /// Per-transaction lock state. Reset between transactions; owned by exactly
 /// one agent thread at a time.
 ///
-/// Lifetime: the deadlock detector may hold a LockClient pointer briefly
-/// after a wait resolves, so clients must outlive the LockManager's last
-/// detection pass over them — in practice, keep clients alive as long as the
-/// LockManager (agents reuse one client for the whole run).
+/// Lifetime: a waker (a granter on its way to Wake(), or the deadlock
+/// detector working on its waits-for snapshot) may still use a client after
+/// the client's waiter saw its grant or victim flag and moved on. Wakers
+/// pin the client first (Pin), and the destructor waits until every pin is
+/// dropped, so an agent may retire its client while the lock manager runs.
 class LockClient {
  public:
   LockClient() = default;
+  ~LockClient() {
+    while (pins_.load(std::memory_order_acquire) != 0) {
+      std::this_thread::yield();
+    }
+  }
   LockClient(const LockClient&) = delete;
   LockClient& operator=(const LockClient&) = delete;
 
@@ -93,40 +99,50 @@ class LockClient {
 
   // ---- blocking machinery ----
 
-  std::mutex& wait_mutex() { return wait_mu_; }
-  std::condition_variable& wait_cv() { return wait_cv_; }
-
   /// Request this client is currently blocked on (deadlock detector input).
   std::atomic<LockRequest*>& waiting_on() { return waiting_on_; }
 
   std::atomic<bool>& deadlock_victim() { return deadlock_victim_; }
 
-  /// True while the owning thread is inside its WaitForGrant window (set
-  /// under wait_mu_ before the first predicate check, cleared before the
-  /// window exits). Lets Wake() skip the mutex when nobody can be parked.
-  void BeginWaitWindow() {
-    waiting_.store(true, std::memory_order_relaxed);
-    // Pairs with the fence in Wake(): either the waker sees waiting_ set
-    // (and takes the mutex), or our predicate check below the fence sees
-    // the waker's status store — the wakeup cannot be lost.
+  /// Sleep on the park word until Wake() or `deadline_ns` (NowNanos clock),
+  /// unless `resolved()` already holds. The waiter publishes "parked" and
+  /// then re-checks `resolved`, behind a seq_cst fence; Wake() is called
+  /// after the waker stored the grant (or the victim flag) and checks
+  /// "parked" behind a matching fence. So either the waker sees "parked"
+  /// and wakes the word, or the re-check sees the grant: a wake-up cannot
+  /// be lost. May return early (a timeout, or a stale waker of an earlier
+  /// wait), so callers loop on their predicate.
+  template <typename Resolved>
+  void Park(Resolved&& resolved, uint64_t deadline_ns) {
+    park_word_.store(kParked, std::memory_order_relaxed);
     std::atomic_thread_fence(std::memory_order_seq_cst);
+    if (!resolved()) FutexWaitUntil(park_word_, kParked, deadline_ns);
+    park_word_.store(kRunning, std::memory_order_relaxed);
   }
-  void EndWaitWindow() { waiting_.store(false, std::memory_order_relaxed); }
 
-  /// Wake a blocked client (called by lock releasers and the detector).
-  /// Fast path: when no thread can be parked (the waiting flag is unset),
-  /// skip the wait mutex entirely — the common release-with-no-waiters
-  /// case stays futex-style lock-free.
+  /// Keep this client alive across a wake: taken before the waker
+  /// publishes what the waiter polls (the grant, the victim flag), or under
+  /// the head latch of a queued request; dropped once the waker is done.
+  void Pin() { pins_.fetch_add(1, std::memory_order_relaxed); }
+  void Unpin() { pins_.fetch_sub(1, std::memory_order_release); }
+
+  /// True while the owning thread is inside Park().
+  bool parked() const {
+    return park_word_.load(std::memory_order_relaxed) == kParked;
+  }
+
+  /// Wake a blocked client (called by lock releasers and the detector,
+  /// after they stored what the waiter polls). A waiter still spinning, or
+  /// not waiting at all, costs no syscall (`lock.wake_fast`).
   void Wake() {
     std::atomic_thread_fence(std::memory_order_seq_cst);
-    if (!waiting_.load(std::memory_order_relaxed)) {
+    if (park_word_.load(std::memory_order_relaxed) != kParked ||
+        park_word_.exchange(kRunning, std::memory_order_relaxed) !=
+            kParked) {
       CountEvent(Counter::kLockWakeFast);
       return;
     }
-    // The lock ensures the waiter either has not yet checked its predicate
-    // or is inside wait(); either way the notification is not lost.
-    std::lock_guard<std::mutex> g(wait_mu_);
-    wait_cv_.notify_all();
+    FutexWake(park_word_);
   }
 
  private:
@@ -143,9 +159,10 @@ class LockClient {
   RequestPool own_pool_;
   RequestPool* pool_ = &own_pool_;
 
-  std::mutex wait_mu_;
-  std::condition_variable wait_cv_;
-  std::atomic<bool> waiting_{false};
+  static constexpr uint32_t kRunning = 0;
+  static constexpr uint32_t kParked = 1;
+  std::atomic<uint32_t> park_word_{kRunning};
+  std::atomic<uint32_t> pins_{0};
   std::atomic<LockRequest*> waiting_on_{nullptr};
   std::atomic<bool> deadlock_victim_{false};
 };

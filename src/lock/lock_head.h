@@ -147,6 +147,20 @@ struct LockHead {
 
   HotTracker hot;
 
+  /// Smoothed hold time, in RdCycles, of the requests released while
+  /// others waited here: grant to release, measured on the holder's side
+  /// so it excludes the waiters' wake-up latency. Sets the lock-wait spin
+  /// budget (LockManager::SpinBudget). 0 = no sample yet. Protected by
+  /// `latch`; kept across a reclaim only when the head comes back for the
+  /// same lock.
+  uint64_t hold_cycles = 0;
+
+  /// Fold one hold sample into `hold_cycles` (EWMA, weight 1/4).
+  void FoldHold(uint64_t sample) {
+    hold_cycles = hold_cycles == 0 ? sample
+                                   : hold_cycles - hold_cycles / 4 + sample / 4;
+  }
+
   /// Commit LSN of the latest write-mode holder (X/SIX/U/IX) that released
   /// or inherited this lock — the durability horizon a later acquirer of
   /// this head depends on under early lock release (see TransactionManager

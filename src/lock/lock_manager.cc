@@ -1,11 +1,14 @@
 #include "src/lock/lock_manager.h"
 
+#include <algorithm>
 #include <cassert>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "src/stats/counters.h"
 #include "src/stats/profiler.h"
+#include "src/util/cpus.h"
+#include "src/util/latch.h"
 #include "src/util/time_util.h"
 
 // Debug-mode invariant: the incremental grant summary must equal a full
@@ -23,6 +26,11 @@ namespace {
 /// Maximum hierarchy depth (database → table → page → row).
 constexpr int kMaxDepth = 8;
 
+/// Longest expected lock wait a waiter spins through instead of parking.
+/// Far above a futex round trip (tens of µs on a loaded host), far below
+/// the holds of a lock kept across a slow log device.
+constexpr uint64_t kSpinCapNs = 40'000;
+
 /// Modes whose holder may have written data this lock protects (directly,
 /// or via children under an intent mode). Only these stamp the durability
 /// horizon at release — pure read modes (S/IS) protect nothing a reader
@@ -35,9 +43,15 @@ bool IsWriteClassMode(LockMode m) {
 }  // namespace
 
 void WakeBatch::Flush() {
-  for (size_t i = 0; i < n_; ++i) inline_[i]->Wake();
+  for (size_t i = 0; i < n_; ++i) {
+    inline_[i]->Wake();
+    inline_[i]->Unpin();
+  }
   n_ = 0;
-  for (LockClient* c : overflow_) c->Wake();
+  for (LockClient* c : overflow_) {
+    c->Wake();
+    c->Unpin();
+  }
   overflow_.clear();
 }
 
@@ -51,7 +65,10 @@ void LockManager::SimulateQueueWork(LockHead* h) {
 }
 
 LockManager::LockManager(LockManagerOptions options)
-    : options_(options), table_(options.num_buckets) {
+    : options_(options),
+      table_(options.num_buckets),
+      spin_cap_cycles_(
+          static_cast<uint64_t>(kSpinCapNs * CyclesPerNano())) {
   if (options_.enable_deadlock_detector) {
     detector_ = std::thread([this] { DetectorLoop(); });
   }
@@ -202,6 +219,7 @@ bool LockManager::CanGrantSlow(LockHead* h, const LockRequest* self,
 }
 
 void LockManager::GrantWaiters(LockHead* h, WakeBatch* wakes) {
+  const uint64_t now = RdCycles();  // grant stamp: these holds are measured
   // Phase 1: conversions, FIFO among converting requests. A conversion is
   // granted when its target mode is compatible with every other live
   // request. Conversions live inside the granted prefix, so this scan is
@@ -216,13 +234,14 @@ void LockManager::GrantWaiters(LockHead* h, WakeBatch* wakes) {
       if (CanGrant(h, r, r->convert_to)) {
         const LockMode was = r->mode;
         r->mode = r->convert_to;
+        r->grant_cycles = now;
         h->SummaryUpgrade(was, r->mode);
-        r->status.store(RequestStatus::kGranted, std::memory_order_release);
-        --h->converting_count;
-        h->RemoveWaiter();
         if (LockClient* cl = r->client.load(std::memory_order_acquire)) {
           wakes->Add(cl);
         }
+        r->status.store(RequestStatus::kGranted, std::memory_order_release);
+        --h->converting_count;
+        h->RemoveWaiter();
       } else {
         break;
       }
@@ -236,12 +255,13 @@ void LockManager::GrantWaiters(LockHead* h, WakeBatch* wakes) {
     const RequestStatus s = r->status.load(std::memory_order_acquire);
     if (s == RequestStatus::kWaiting) {
       if (!CanGrant(h, r, r->mode)) break;
-      r->status.store(RequestStatus::kGranted, std::memory_order_release);
-      h->SummaryAdd(r->mode);
-      h->RemoveWaiter();
+      r->grant_cycles = now;
       if (LockClient* cl = r->client.load(std::memory_order_acquire)) {
         wakes->Add(cl);
       }
+      r->status.store(RequestStatus::kGranted, std::memory_order_release);
+      h->SummaryAdd(r->mode);
+      h->RemoveWaiter();
     }
     r = r->q_next;
   }
@@ -268,6 +288,8 @@ Status LockManager::AcquireNew(LockClient* c, const LockId& id,
       h->waiter_count.load(std::memory_order_relaxed) == 0 &&
       CanGrant(h, nullptr, mode);
   if (grant_now) {
+    // A head that has never been waited on skips the clock read.
+    if (h->hold_cycles != 0) req->grant_cycles = RdCycles();
     req->status.store(RequestStatus::kGranted, std::memory_order_release);
     h->Append(req);
     h->SummaryAdd(mode);
@@ -294,6 +316,8 @@ Status LockManager::AcquireNew(LockClient* c, const LockId& id,
   }
 
   CountEvent(Counter::kLockWaits);
+  const uint64_t spin_cycles = SpinBudget(
+      h->hold_cycles, h->waiter_count.load(std::memory_order_relaxed));
   req->status.store(RequestStatus::kWaiting, std::memory_order_release);
   h->Append(req);
   if (h->waiter_hint == nullptr) h->waiter_hint = req;
@@ -303,7 +327,7 @@ Status LockManager::AcquireNew(LockClient* c, const LockId& id,
   h->latch.Release();
 
   bool granted_anyway = false;
-  const Status st = WaitForGrant(c, req, &granted_anyway);
+  const Status st = WaitForGrant(c, req, spin_cycles, &granted_anyway);
   c->waiting_on().store(nullptr, std::memory_order_release);
   if (st.ok() || granted_anyway) {
     // Ordered by the granter's status release-store + our acquire load in
@@ -347,6 +371,8 @@ Status LockManager::Upgrade(LockClient* c, LockRequest* r, LockMode mode) {
   }
 
   CountEvent(Counter::kLockWaits);
+  const uint64_t spin_cycles = SpinBudget(
+      h->hold_cycles, h->waiter_count.load(std::memory_order_relaxed));
   r->convert_to = target;
   r->status.store(RequestStatus::kConverting, std::memory_order_release);
   ++h->converting_count;
@@ -355,7 +381,7 @@ Status LockManager::Upgrade(LockClient* c, LockRequest* r, LockMode mode) {
   h->latch.Release();
 
   bool granted_anyway = false;
-  const Status st = WaitForGrant(c, r, &granted_anyway);
+  const Status st = WaitForGrant(c, r, spin_cycles, &granted_anyway);
   c->waiting_on().store(nullptr, std::memory_order_release);
   if (st.ok() || granted_anyway) {
     c->NoteDep(h->last_commit_lsn.load(std::memory_order_acquire));
@@ -363,8 +389,13 @@ Status LockManager::Upgrade(LockClient* c, LockRequest* r, LockMode mode) {
   return st;
 }
 
+uint64_t LockManager::SpinBudget(uint64_t hold_cycles, uint32_t ahead) const {
+  if (hold_cycles == 0 || ahead != 0 || UsableCpus() < 2) return 0;
+  return hold_cycles <= spin_cap_cycles_ ? hold_cycles : 0;
+}
+
 Status LockManager::WaitForGrant(LockClient* c, LockRequest* r,
-                                 bool* granted_anyway) {
+                                 uint64_t spin_cycles, bool* granted_anyway) {
   uint64_t deadline_us = NowMicros() + options_.lock_timeout_us;
   // The wait budget is min(lock_timeout, remaining txn deadline): a
   // transaction past its response budget must stop occupying queue slots
@@ -375,29 +406,49 @@ Status LockManager::WaitForGrant(LockClient* c, LockRequest* r,
     deadline_us = txn_deadline_ns / 1000;
     deadline_capped = true;
   }
-  const uint64_t block_start = RdCycles();
+  const auto resolved = [&] {
+    return r->status.load(std::memory_order_acquire) ==
+               RequestStatus::kGranted ||
+           c->deadlock_victim().load(std::memory_order_acquire);
+  };
+  ThreadProfile* const profile = ThreadProfile::Current();
   bool timed_out = false;
 
-  {
-    std::unique_lock<std::mutex> lk(c->wait_mutex());
-    c->BeginWaitWindow();
-    for (;;) {
-      const RequestStatus s = r->status.load(std::memory_order_acquire);
-      if (s == RequestStatus::kGranted) break;
-      if (c->deadlock_victim().load(std::memory_order_acquire)) break;
-      const uint64_t now_us = NowMicros();
-      if (now_us >= deadline_us) {
-        timed_out = true;
-        break;
-      }
-      c->wait_cv().wait_for(lk,
-                            std::chrono::microseconds(deadline_us - now_us));
+  // Spin through a short expected wait, never past the deadline, and
+  // only while a CPU is left over for the holder to release on.
+  const uint64_t spin_start = RdCycles();
+  if (spin_cycles != 0 && !resolved()) {
+    if (spinners_.fetch_add(1, std::memory_order_relaxed) + 1 < UsableCpus()) {
+      const uint64_t left_ns =
+          (deadline_us - std::min(deadline_us, NowMicros())) * 1000;
+      const uint64_t spin_end =
+          spin_start + std::min(spin_cycles, static_cast<uint64_t>(
+                                                 left_ns * CyclesPerNano()));
+      while (!resolved() && RdCycles() < spin_end) latch_internal::CpuRelax();
     }
-    c->EndWaitWindow();
+    spinners_.fetch_sub(1, std::memory_order_relaxed);
   }
+  const uint64_t park_start = RdCycles();
+  if (profile != nullptr) profile->AttributeContention(spin_start, park_start);
 
-  if (ThreadProfile* p = ThreadProfile::Current()) {
-    p->AttributeBlocked(block_start, RdCycles());
+  bool parked = false;
+  for (;;) {
+    if (resolved()) break;
+    if (NowMicros() >= deadline_us) {
+      timed_out = true;
+      break;
+    }
+    if (!parked) {
+      CountEvent(Counter::kLockParks);
+      parked = true;
+    }
+    c->Park(resolved, deadline_us * 1000);
+  }
+  if (parked) {
+    if (profile != nullptr) profile->AttributeBlocked(park_start, RdCycles());
+  } else if (r->status.load(std::memory_order_acquire) ==
+             RequestStatus::kGranted) {
+    CountEvent(Counter::kLockSpinGrants);
   }
 
   const bool victim = c->deadlock_victim().load(std::memory_order_acquire);
@@ -458,7 +509,7 @@ Status LockManager::WaitForGrant(LockClient* c, LockRequest* r,
   return Status::TimedOut();
 }
 
-void LockManager::ReleaseOne(LockClient* c, LockRequest* r, RequestPool* pool,
+void LockManager::ReleaseOne(LockRequest* r, RequestPool* pool,
                              WakeBatch* wakes, std::vector<LockId>* reclaims,
                              uint64_t commit_lsn) {
   LockHead* h = r->head;
@@ -489,6 +540,10 @@ void LockManager::ReleaseOne(LockClient* c, LockRequest* r, RequestPool* pool,
   // Only walk the queue when somebody is actually waiting; the common
   // uncontended release is a pure O(1) summary update.
   if (h->waiter_count.load(std::memory_order_relaxed) > 0) {
+    if (r->grant_cycles != 0) {
+      // Clamped: one preempted holder must not stop spinning for long.
+      h->FoldHold(std::min(RdCycles() - r->grant_cycles, 2 * spin_cap_cycles_));
+    }
     GrantWaiters(h, wakes);
   } else {
     SLIDB_DCHECK_SUMMARY(h);
@@ -509,7 +564,6 @@ void LockManager::ReleaseOne(LockClient* c, LockRequest* r, RequestPool* pool,
       table_.TryReclaim(id);
     }
   }
-  (void)c;
 }
 
 bool LockManager::EligibleForInheritance(
@@ -566,9 +620,57 @@ bool LockManager::EligibleForInheritance(
   return ok;
 }
 
+void LockManager::DiscardInherited(AgentSliState* sli, LockRequest* r,
+                                   WakeBatch* wakes,
+                                   std::vector<LockId>* reclaims) {
+  // Take the request back to kGranted before touching its head: while it
+  // stays kInherited a concurrent conflicter can invalidate it, unlinking
+  // it and dropping the pin that keeps the head alive — dereferencing
+  // r->head would then race with head reclaim/reuse. Winning the CAS makes
+  // us the owner again (nobody else transitions out of kGranted), so the
+  // linked request's pin safely carries ReleaseOne.
+  RequestStatus expect = RequestStatus::kInherited;
+  if (r->status.compare_exchange_strong(expect, RequestStatus::kGranted,
+                                        std::memory_order_acq_rel)) {
+    r->head->inherited_hint.fetch_sub(1, std::memory_order_acq_rel);
+    CountEvent(Counter::kSliDiscarded);
+    // commit_lsn = 0: the releasing transaction never used the inherited
+    // lock, so it is no dependency for later acquirers — the correct
+    // horizon was stamped when the request was inherited by its writer.
+    ReleaseOne(r, &sli->pool(), wakes, reclaims, 0);
+  } else {
+    // An invalidator won the race; it already unlinked and unpinned, so
+    // only the memory remains to reclaim.
+    sli->pool().Free(r);
+  }
+}
+
+void LockManager::ReleaseInherited(AgentSliState* sli) {
+  ScopedComponent comp(Component::kSli);
+  WakeBatch wakes;
+  LockRequest* r = sli->TakeInherited();
+  while (r != nullptr) {
+    LockRequest* next = r->agent_next;
+    r->agent_next = nullptr;
+    const RequestStatus s = r->status.load(std::memory_order_acquire);
+    if (s == RequestStatus::kInvalid) {
+      sli->pool().Free(r);
+    } else if (s == RequestStatus::kInherited) {
+      DiscardInherited(sli, r, &wakes, nullptr);
+    }
+    // kGranted: reclaimed by a transaction that still holds it.
+    r = next;
+  }
+}
+
+AgentSliState::~AgentSliState() {
+  if (lock_manager_ != nullptr) lock_manager_->ReleaseInherited(this);
+}
+
 void LockManager::ReleaseAll(LockClient* c, AgentSliState* sli,
                              bool allow_inherit, uint64_t commit_lsn) {
   ScopedComponent comp(Component::kLockManager);
+  if (sli != nullptr) sli->set_lock_manager(this);
   const bool sli_active = allow_inherit && options_.enable_sli && sli != nullptr;
 
   // Each head latch window shrinks to a single summary update: wakeups are
@@ -605,29 +707,7 @@ void LockManager::ReleaseAll(LockClient* c, AgentSliState* sli,
           ++r->sli_miss_count;
           sli->PushInherited(r);  // §4.4 option 2: momentum
         } else {
-          // Take the request back to kGranted before touching its head:
-          // while it stays kInherited a concurrent conflicter can
-          // invalidate it, unlinking it and dropping the pin that keeps
-          // the head alive — dereferencing r->head would then race with
-          // head reclaim/reuse. Winning the CAS makes us the owner again
-          // (nobody else transitions out of kGranted), so the linked
-          // request's pin safely carries ReleaseOne.
-          RequestStatus expect = RequestStatus::kInherited;
-          if (r->status.compare_exchange_strong(
-                  expect, RequestStatus::kGranted,
-                  std::memory_order_acq_rel)) {
-            r->head->inherited_hint.fetch_sub(1, std::memory_order_acq_rel);
-            CountEvent(Counter::kSliDiscarded);
-            // commit_lsn = 0: this transaction never used the inherited
-            // lock, so its commit is no dependency for later acquirers —
-            // the correct horizon was stamped when the request was
-            // inherited by its actual writer.
-            ReleaseOne(c, r, &sli->pool(), &wakes, &reclaims, 0);
-          } else {
-            // An invalidator won the race; it already unlinked and
-            // unpinned, so only the memory remains to reclaim.
-            sli->pool().Free(r);
-          }
+          DiscardInherited(sli, r, &wakes, &reclaims);
         }
       }
       // kGranted: reclaimed by this transaction; lives in the private list.
@@ -660,6 +740,7 @@ void LockManager::ReleaseAll(LockClient* c, AgentSliState* sli,
     if (inherit) {
       ScopedComponent sli_comp(Component::kSli);
       r->sli_miss_count = 0;
+      r->grant_cycles = 0;  // a reclaim is not a fresh grant
       if (commit_lsn != 0 && IsWriteClassMode(r->mode)) {
         // Inheritance is a logical release: a conflicting acquirer that
         // invalidates this request (e.g. table-S vs inherited IX) still
@@ -680,10 +761,10 @@ void LockManager::ReleaseAll(LockClient* c, AgentSliState* sli,
       } else {
         // Only the owner transitions out of kGranted; cannot happen.
         r->head->inherited_hint.fetch_sub(1, std::memory_order_acq_rel);
-        ReleaseOne(c, r, pool, &wakes, &reclaims, commit_lsn);
+        ReleaseOne(r, pool, &wakes, &reclaims, commit_lsn);
       }
     } else {
-      ReleaseOne(c, r, pool, &wakes, &reclaims, commit_lsn);
+      ReleaseOne(r, pool, &wakes, &reclaims, commit_lsn);
     }
     r = next;
   }
@@ -739,6 +820,9 @@ size_t LockManager::RunDeadlockDetection() {
     LockMode wanted;
   };
   std::vector<QueueEntry> entries;
+  // Every client in the snapshot, pinned under its head latch: the graph
+  // is walked, and victims are woken, after the latches are dropped.
+  std::vector<LockClient*> pinned;
 
   // Only heads with a waiting/converting request can contribute an edge,
   // so buckets whose aggregate waiter count is zero are skipped without
@@ -750,6 +834,8 @@ size_t LockManager::RunDeadlockDetection() {
       const RequestStatus s = r->status.load(std::memory_order_acquire);
       LockClient* cl = r->client.load(std::memory_order_acquire);
       if (cl == nullptr) continue;  // inherited/in-limbo
+      cl->Pin();
+      pinned.push_back(cl);
       const LockMode wanted =
           s == RequestStatus::kConverting ? r->convert_to : r->mode;
       entries.push_back(QueueEntry{cl, s, r->mode, wanted});
@@ -820,6 +906,7 @@ size_t LockManager::RunDeadlockDetection() {
   for (auto& [client, node] : graph) {
     if (color[client] == 0) visit(client, visit);
   }
+  for (LockClient* cl : pinned) cl->Unpin();
   return victims;
 }
 

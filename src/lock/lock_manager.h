@@ -130,7 +130,9 @@ inline void ApplySliMode(LockManagerOptions& o, SliMode mode) {
 /// deep wake bursts spill to the heap.
 class WakeBatch {
  public:
+  /// Pins `c` until Flush; call before publishing the grant.
   void Add(LockClient* c) {
+    c->Pin();
     if (n_ < kInline) {
       inline_[n_++] = c;
     } else {
@@ -138,8 +140,8 @@ class WakeBatch {
     }
   }
 
-  /// Wake everything collected so far and reset. Must be called with no
-  /// latches held.
+  /// Wake and unpin everything collected so far, and reset. Must be called
+  /// with no latches held.
   void Flush();
 
   bool empty() const { return n_ == 0; }
@@ -177,6 +179,11 @@ class LockManager {
   void ReleaseAll(LockClient* c, AgentSliState* sli, bool allow_inherit,
                   uint64_t commit_lsn = 0);
 
+  /// Release every request still on `sli`'s inheritance list: the
+  /// retirement of an agent whose last transaction has ended. Runs from
+  /// ~AgentSliState, so an agent must retire before its lock manager.
+  void ReleaseInherited(AgentSliState* sli);
+
   /// Populate a starting transaction's lock cache with the agent's
   /// inherited requests (paper §4.1: "pre-populates the new transaction's
   /// lock cache").
@@ -194,6 +201,15 @@ class LockManager {
 
   LockManagerStats Stats();
 
+  /// RdCycles a lock waiter spins before parking: the whole expected wait,
+  /// `hold_cycles` (the head's hold estimate), when no waiter is `ahead`
+  /// of it and the estimate fits under a fixed 40 µs cap; otherwise 0, and
+  /// always 0 with one usable CPU or no estimate yet. Spinning for part of
+  /// a longer wait would cost CPU and still pay the wake-up, and a waiter
+  /// behind others would hold a CPU that the holder and the grantees ahead
+  /// of it need.
+  uint64_t SpinBudget(uint64_t hold_cycles, uint32_t ahead) const;
+
  private:
   Status LockInternal(LockClient* c, const LockId& id, LockMode mode,
                       int depth);
@@ -202,11 +218,14 @@ class LockManager {
   Status AcquireNew(LockClient* c, const LockId& id, LockMode mode);
   Status Upgrade(LockClient* c, LockRequest* r, LockMode mode);
   /// Blocks until `r` is granted, the client is victimized, or the timeout
-  /// fires. On failure, `r` is cleaned up (unlinked+freed for new requests,
-  /// reverted for conversions) — unless it was granted concurrently with the
-  /// victim decision, in which case `*granted_anyway` is set and the caller
-  /// must register the granted request so the abort path releases it.
-  Status WaitForGrant(LockClient* c, LockRequest* r, bool* granted_anyway);
+  /// fires: spins for `spin_cycles` (SpinBudget), then parks on the
+  /// client's futex word. On failure, `r` is cleaned up (unlinked+freed for
+  /// new requests, reverted for conversions) — unless it was granted
+  /// concurrently with the victim decision, in which case
+  /// `*granted_anyway` is set and the caller must register the granted
+  /// request so the abort path releases it.
+  Status WaitForGrant(LockClient* c, LockRequest* r, uint64_t spin_cycles,
+                      bool* granted_anyway);
 
   /// True iff `mode` conflicts with no live request other than `self`.
   /// O(1) against the head's grant summary in the common case; falls back
@@ -228,9 +247,13 @@ class LockManager {
   /// `wakes` under the latch and flushed after it is released; empty row
   /// heads are queued on `reclaims` when non-null (batched TryReclaim),
   /// else reclaimed inline.
-  void ReleaseOne(LockClient* c, LockRequest* r, RequestPool* pool,
-                  WakeBatch* wakes, std::vector<LockId>* reclaims,
-                  uint64_t commit_lsn = 0);
+  void ReleaseOne(LockRequest* r, RequestPool* pool, WakeBatch* wakes,
+                  std::vector<LockId>* reclaims, uint64_t commit_lsn = 0);
+
+  /// Release one unused inherited request of `sli` (or free it when an
+  /// invalidator got there first).
+  void DiscardInherited(AgentSliState* sli, LockRequest* r, WakeBatch* wakes,
+                        std::vector<LockId>* reclaims);
 
   /// Charge the simulated per-entry queue cost (head latch must be held).
   void SimulateQueueWork(LockHead* h);
@@ -245,6 +268,10 @@ class LockManager {
 
   LockManagerOptions options_;
   LockTable table_;
+  const uint64_t spin_cap_cycles_;  ///< kSpinCapNs in RdCycles
+  /// Waiters spinning right now; at most UsableCpus() - 1, so a spinner
+  /// never takes the last CPU a holder could release on.
+  std::atomic<uint32_t> spinners_{0};
 
   std::thread detector_;
   std::mutex detector_mu_;

@@ -55,6 +55,11 @@ struct LockRequest {
 
   LockHead* head = nullptr;
 
+  /// RdCycles at the grant, stamped only where the hold is measured (a
+  /// grant out of the wait queue, or on a head with a hold estimate);
+  /// 0 = unstamped. Protected by the head latch.
+  uint64_t grant_cycles = 0;
+
   // Queue links, protected by the head latch.
   LockRequest* q_next = nullptr;
   LockRequest* q_prev = nullptr;
@@ -72,6 +77,7 @@ struct LockRequest {
     sli_miss_count = 0;
     client.store(nullptr, std::memory_order_relaxed);
     head = nullptr;
+    grant_cycles = 0;
     q_next = q_prev = nullptr;
     txn_next = nullptr;
     agent_next = nullptr;

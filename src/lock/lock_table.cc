@@ -12,6 +12,10 @@ namespace {
 /// already points at the right aggregate (and contributed zero when the
 /// head was retired).
 void ResetHead(LockHead* h, const LockId& id, uint64_t retired_dep) {
+  // A row head is reclaimed whenever its queue drains, which a hot row's
+  // does between holders; its hold estimate survives when the same lock
+  // takes the head back (the bucket freelist is LIFO).
+  if (!(h->id == id)) h->hold_cycles = 0;
   h->id = id;
   for (size_t i = 0; i < kNumLockModes; ++i) h->granted_counts[i] = 0;
   h->granted_mask = 0;

@@ -69,9 +69,14 @@ uint32_t LogManager::CopyIntoRingCrc(Lsn at, const void* src, size_t len,
   return crc;
 }
 
+void LogManager::KickFlusher() {
+  kicked_.store(true, std::memory_order_release);
+  flush_cv_.notify_one();
+}
+
 void LogManager::BackpressurePause() {
   CountEvent(Counter::kLogResvRetries);
-  flush_cv_.notify_one();
+  KickFlusher();
   const uint64_t t0 = RdCycles();
   std::this_thread::yield();
   if (ThreadProfile* p = ThreadProfile::Current()) {
@@ -304,6 +309,11 @@ void LogManager::WaitDurable(Lsn lsn) {
 
 namespace {
 
+/// The longest the background flusher sleeps while it finds no work. The
+/// states only its timer resolves (an idle tail, an ack a pass left
+/// pending, a kick whose notify it missed) wait at most about twice this.
+constexpr uint64_t kMaxIdleWaitUs = 2'000;
+
 bool IsWaiting(uint32_t state) {
   return state == DeferredAck::kWaiting || state == DeferredAck::kWaitingUntil;
 }
@@ -369,11 +379,13 @@ bool LogManager::WaitDurable(DeferredAck* ack, uint64_t deadline_ns) {
       if (ThreadProfile* p = ThreadProfile::Current()) {
         p->AttributeBlocked(t0, RdCycles());
       }
-      // Deadline passed: leave the node queued for a later pass. Losing
-      // this race means a pass settled or promoted us meanwhile.
+      // Deadline passed: leave the node queued for a later pass, which
+      // nobody waits on now, so kick the flusher as ParkDeferred does.
+      // Losing this race means a pass settled or promoted us meanwhile.
       if (s == waiting &&
           ack->state.compare_exchange_strong(s, DeferredAck::kParked,
                                              std::memory_order_acq_rel)) {
+        KickFlusher();
         durable = false;
         break;
       }
@@ -406,7 +418,7 @@ bool LogManager::ParkDeferred(DeferredAck* ack) {
   Enqueue(ack, DeferredAck::kParked);
   // Nobody waits on this ack: kick the background flusher, whose pass
   // settles it unless a committer's pass gets there first.
-  flush_cv_.notify_one();
+  KickFlusher();
   return true;
 }
 
@@ -592,24 +604,30 @@ void LogManager::HandOffRole() {
 
 void LogManager::FlusherLoop() {
   std::unique_lock<std::mutex> lk(flush_mu_);
-  const auto interval = std::chrono::microseconds(options_.flush_interval_us);
+  const auto base = std::chrono::microseconds(options_.flush_interval_us);
+  // An idle flusher doubles its wait up to this cap: under load the
+  // committers harden their own records, and a timer at flush cadence
+  // would cost 20,000 wake-ups a second for nothing.
+  const auto cap = std::max(base, std::chrono::microseconds(kMaxIdleWaitUs));
+  auto interval = base;
   Lsn last_reserved = 0;
   while (!stop_) {
-    const bool kicked =
-        flush_cv_.wait_for(lk, interval) == std::cv_status::no_timeout;
+    flush_cv_.wait_for(lk, interval, [this] {
+      return stop_ || kicked_.load(std::memory_order_relaxed);
+    });
     if (stop_) break;
     lk.unlock();
+    const bool kicked = kicked_.exchange(false, std::memory_order_acq_rel);
     // Pass only for what nobody waits on — a kick (ring backpressure, a
-    // parked ack), queued acks, a tail idle for a whole interval — never to
-    // race a committer for the record it is about to harden itself.
+    // parked ack), queued acks, a tail idle since the last wake-up — never
+    // to race a committer for the record it is about to harden itself.
     const Lsn reserved = reserved_lsn();
     const bool idle_tail = reserved == last_reserved && reserved > durable_lsn();
     last_reserved = reserved;
-    if ((kicked || idle_tail ||
-         incoming_.load(std::memory_order_relaxed) != nullptr) &&
-        TryTakeRole()) {
-      LeadPass(/*committer=*/false);
-    }
+    const bool work = kicked || idle_tail ||
+                      incoming_.load(std::memory_order_relaxed) != nullptr;
+    if (work && TryTakeRole()) LeadPass(/*committer=*/false);
+    interval = work ? base : std::min(interval * 2, cap);
     lk.lock();
   }
   lk.unlock();

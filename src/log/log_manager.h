@@ -38,7 +38,8 @@ namespace slidb {
 
 struct LogOptions {
   size_t buffer_bytes = 8u << 20;
-  /// Cadence of the background flusher's pass. No synchronous commit
+  /// Cadence of the background flusher's pass while it finds work; an idle
+  /// flusher doubles its wait up to a fixed cap. No synchronous commit
   /// waits on it.
   uint64_t flush_interval_us = 50;
   /// Per-flush simulated device latency (the paper charges 6 ms per I/O for
@@ -199,6 +200,8 @@ class LogManager {
   void BackpressurePause();
 
   void FlusherLoop();
+  /// Wake the background flusher for work nobody waits on.
+  void KickFlusher();
   /// Consume contiguously published slots and advance `watermark_`.
   /// Returns true iff it advanced. Caller must hold `publish_latch_`.
   bool AdvanceWatermarkLocked();
@@ -261,6 +264,9 @@ class LogManager {
 
   std::mutex flush_mu_;
   std::condition_variable flush_cv_;  // waking the background flusher
+  /// Set by KickFlusher, taken by the flusher: a kick whose notify lands
+  /// outside the flusher's wait still counts at its next wake-up.
+  std::atomic<bool> kicked_{false};
   bool stop_ = false;
   std::thread flusher_;
 };

@@ -17,6 +17,8 @@ const char* CounterName(Counter c) {
     case Counter::kLockCacheHits: return "lock.cache_hits";
     case Counter::kLockUpgrades: return "lock.upgrades";
     case Counter::kLockWaits: return "lock.waits";
+    case Counter::kLockSpinGrants: return "lock.spin_grants";
+    case Counter::kLockParks: return "lock.parks";
     case Counter::kLockTimeouts: return "lock.timeouts";
     case Counter::kDeadlocks: return "lock.deadlocks";
     case Counter::kLockReleases: return "lock.releases";

@@ -18,14 +18,16 @@ enum class Counter : uint32_t {
   kLockCacheHits,      ///< requests satisfied by the txn's own lock cache
   kLockUpgrades,       ///< mode upgrades of an existing request
   kLockWaits,          ///< requests that blocked on a conflict
+  kLockSpinGrants,     ///< lock waits granted while the waiter spun
+  kLockParks,          ///< lock waits that parked on the client's futex word
   kLockTimeouts,
   kDeadlocks,          ///< victims aborted by the detector
   kLockReleases,
   kCanGrantFast,       ///< conflict checks answered O(1) from the summary
   kCanGrantSlow,       ///< conflict checks that walked the queue (inherited
                        ///< invalidation possible)
-  kLockWakeFast,       ///< Wake() calls that skipped the wait mutex because
-                       ///< no thread could be parked
+  kLockWakeFast,       ///< Wake() calls that needed no futex syscall
+                       ///< because the waiter was not parked
 
   // -- Figure 8: breakdown of acquired locks --
   kAcqRow,             ///< row-level acquisitions

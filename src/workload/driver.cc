@@ -7,6 +7,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/util/cpus.h"
 #include "src/util/time_util.h"
 
 namespace slidb {
@@ -219,8 +220,8 @@ DriverResult RunWorkload(Database& db, Workload& workload,
 
   const double cpu_seconds =
       static_cast<double>(result.profile.TotalCpu()) / CyclesPerNano() / 1e9;
-  const double hw = static_cast<double>(std::thread::hardware_concurrency());
-  const double util = cpu_seconds / (result.wall_s * (hw > 0 ? hw : 1));
+  const double util =
+      cpu_seconds / (result.wall_s * static_cast<double>(UsableCpus()));
   result.cpu_utilization = util > 1.0 ? 1.0 : util;
   return result;
 }

@@ -92,7 +92,7 @@ struct DriverResult {
   /// Response time of transactions whose final attempt failed — kept out of
   /// latency_ns so aborts can no longer skew the reported commit latency.
   Histogram abort_latency_ns;
-  /// CPU seconds consumed (work + contention) / (wall * hardware threads),
+  /// CPU seconds consumed (work + contention) / (wall * usable CPUs),
   /// capped at 1. With thread oversubscription this saturates — matching
   /// the paper's "fully loaded" operating points.
   double cpu_utilization = 0;

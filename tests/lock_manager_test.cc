@@ -1,5 +1,6 @@
 // Lock manager semantics: grants, conflicts, upgrades, FIFO fairness,
-// hierarchy handling, deadlock detection, and multi-threaded invariants.
+// hierarchy handling, deadlock detection, the spin-then-park wait, and
+// multi-threaded invariants.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -9,6 +10,8 @@
 
 #include "src/lock/lock_manager.h"
 #include "src/stats/counters.h"
+#include "src/util/cpus.h"
+#include "src/util/time_util.h"
 
 namespace slidb {
 namespace {
@@ -33,6 +36,27 @@ void WaitUntilBlocked(LockClient& c) {
   }
   FAIL() << "client never entered a lock wait";
 }
+
+/// Busy-poll (no sleep: the wait may be a spin of a few µs) until the
+/// client has entered a lock wait. Bounded like WaitUntilBlocked.
+void SpinUntilWaiting(LockClient& c) {
+  const uint64_t give_up = NowNanos() + 20'000'000'000ull;
+  while (c.waiting_on().load(std::memory_order_acquire) == nullptr) {
+    if (NowNanos() > give_up) FAIL() << "client never entered a lock wait";
+  }
+}
+
+uint64_t CyclesForMicros(uint64_t us) {
+  return static_cast<uint64_t>(static_cast<double>(us) * 1000 *
+                               CyclesPerNano());
+}
+
+/// Force UsableCpus() for one test; restores the measured count after.
+class ForcedCpus {
+ public:
+  explicit ForcedCpus(unsigned n) { SetUsableCpusForTesting(n); }
+  ~ForcedCpus() { SetUsableCpusForTesting(0); }
+};
 
 class LockManagerTest : public ::testing::Test {
  protected:
@@ -339,6 +363,184 @@ TEST_F(LockManagerTest, TimeoutReturnsTimedOut) {
   EXPECT_TRUE(st.IsTimedOut()) << st.ToString();
   lm.ReleaseAll(&c1, nullptr, false);
   lm.ReleaseAll(&c2, nullptr, false);
+}
+
+TEST_F(LockManagerTest, OnlyTheNextGranteeSpinsAndOnlyUnderTheCap) {
+  ForcedCpus cpus(4);
+  EXPECT_EQ(lm_.SpinBudget(0, 0), 0u);  // never waited on: park
+  EXPECT_EQ(lm_.SpinBudget(CyclesForMicros(10), 0), CyclesForMicros(10));
+  // A waiter behind another one parks, however short the holds.
+  EXPECT_EQ(lm_.SpinBudget(CyclesForMicros(10), 1), 0u);
+  // Holds longer than the 40 µs cap: spin not at all.
+  EXPECT_EQ(lm_.SpinBudget(CyclesForMicros(1'000'000), 0), 0u);
+}
+
+TEST_F(LockManagerTest, OneUsableCpuNeverSpins) {
+  ForcedCpus cpus(1);
+  EXPECT_EQ(lm_.SpinBudget(CyclesForMicros(10), 0), 0u);
+
+  // End to end: a short hold estimate still parks the waiter at once.
+  const LockId id = LockId::Table(0, 3);
+  LockClient holder, waiter;
+  holder.StartTxn(1, 0);
+  waiter.StartTxn(2, 1);
+  ASSERT_TRUE(lm_.Lock(&holder, id, LockMode::kX).ok());
+  holder.cache().Find(id)->head->hold_cycles = CyclesForMicros(10);
+  CounterSet counters;
+  std::thread t([&] {
+    ScopedCounterSet routed(&counters);
+    EXPECT_TRUE(lm_.Lock(&waiter, id, LockMode::kX).ok());
+  });
+  WaitUntilBlocked(waiter);
+  while (!waiter.parked()) std::this_thread::yield();
+  lm_.ReleaseAll(&holder, nullptr, false);
+  t.join();
+  EXPECT_EQ(counters.Get(Counter::kLockParks), 1u);
+  EXPECT_EQ(counters.Get(Counter::kLockSpinGrants), 0u);
+  lm_.ReleaseAll(&waiter, nullptr, false);
+}
+
+TEST_F(LockManagerTest, ReleaseDuringSpinGrantsTheWaiter) {
+  if (UsableCpus() < 2) {
+    GTEST_SKIP() << "a waiter spins only with a second usable CPU";
+  }
+  const LockId id = LockId::Table(0, 4);
+  LockClient holder, waiter;
+  holder.StartTxn(1, 0);
+  waiter.StartTxn(2, 1);
+  ASSERT_TRUE(lm_.Lock(&holder, id, LockMode::kX).ok());
+  const uint64_t hold = CyclesForMicros(30);
+  holder.cache().Find(id)->head->hold_cycles = hold;
+  ASSERT_GT(lm_.SpinBudget(hold, 0), 0u);
+  CounterSet counters;
+  std::thread t([&] {
+    ScopedCounterSet routed(&counters);
+    EXPECT_TRUE(lm_.Lock(&waiter, id, LockMode::kX).ok());
+  });
+  SpinUntilWaiting(waiter);
+  lm_.ReleaseAll(&holder, nullptr, false);
+  t.join();
+  // Granted while spinning, or parked if preempted past the budget: one
+  // wait ends exactly one way.
+  EXPECT_EQ(counters.Get(Counter::kLockWaits), 1u);
+  EXPECT_EQ(counters.Get(Counter::kLockSpinGrants) +
+                counters.Get(Counter::kLockParks),
+            1u);
+  lm_.ReleaseAll(&waiter, nullptr, false);
+}
+
+TEST_F(LockManagerTest, HoldAboveCapParksAtOnceAndTheReleaseWakesIt) {
+  // Repeated to catch a lost wake-up: the release must wake the parked
+  // waiter through its futex word, long before lock_timeout_us (2 s).
+  const LockId id = LockId::Table(0, 5);
+  LockClient holder, waiter;
+  for (uint64_t i = 0; i < 200; ++i) {
+    holder.StartTxn(2 * i + 1, 0);
+    waiter.StartTxn(2 * i + 2, 1);
+    ASSERT_TRUE(lm_.Lock(&holder, id, LockMode::kX).ok());
+    holder.cache().Find(id)->head->hold_cycles = CyclesForMicros(1'000'000);
+    CounterSet counters;
+    std::atomic<bool> granted{false};
+    std::thread t([&] {
+      ScopedCounterSet routed(&counters);
+      EXPECT_TRUE(lm_.Lock(&waiter, id, LockMode::kX).ok());
+      granted.store(true);
+    });
+    WaitUntilBlocked(waiter);
+    while (!waiter.parked()) std::this_thread::yield();
+    const uint64_t released = NowNanos();
+    lm_.ReleaseAll(&holder, nullptr, false);
+    while (!granted.load() && NowNanos() - released < 1'000'000'000ull) {
+      std::this_thread::yield();
+    }
+    const bool woken = granted.load();
+    t.join();
+    ASSERT_TRUE(woken) << "iteration " << i << ": wake-up lost";
+    EXPECT_EQ(counters.Get(Counter::kLockParks), 1u);
+    EXPECT_EQ(counters.Get(Counter::kLockSpinGrants), 0u);
+    lm_.ReleaseAll(&waiter, nullptr, false);
+  }
+}
+
+TEST_F(LockManagerTest, WaitDeadlineShorterThanSpinBudgetTimesOut) {
+  ForcedCpus cpus(4);  // a nonzero budget even on a one-CPU host
+  LockManagerOptions o = FastOptions();
+  o.enable_deadlock_detector = false;
+  o.lock_timeout_us = 10;
+  LockManager lm(o);
+  const LockId id = LockId::Table(0, 6);
+  const uint64_t hold = CyclesForMicros(35);
+  ASSERT_GT(lm.SpinBudget(hold, 0), CyclesForMicros(10));
+  // Stated bound on how late past its deadline a wait may return.
+  constexpr uint64_t kLateNs = 100'000'000;
+
+  LockClient holder, waiter;
+  holder.StartTxn(1, 0);
+  ASSERT_TRUE(lm.Lock(&holder, id, LockMode::kX).ok());
+  holder.cache().Find(id)->head->hold_cycles = hold;
+  {
+    // lock_timeout_us shorter than the budget.
+    CounterSet counters;
+    ScopedCounterSet routed(&counters);
+    waiter.StartTxn(2, 1);
+    const uint64_t start = NowNanos();
+    const Status st = lm.Lock(&waiter, id, LockMode::kX);
+    EXPECT_TRUE(st.IsTimedOut()) << st.ToString();
+    EXPECT_LT(NowNanos() - start, 10'000 + kLateNs);
+    EXPECT_EQ(counters.Get(Counter::kLockTimeouts), 1u);
+    EXPECT_EQ(counters.Get(Counter::kLockDeadlineCancels), 0u);
+    EXPECT_EQ(counters.Get(Counter::kLockSpinGrants), 0u);
+    lm.ReleaseAll(&waiter, nullptr, false);
+  }
+  {
+    // A transaction deadline shorter than the budget.
+    lm.mutable_options().lock_timeout_us = 10'000'000;
+    CounterSet counters;
+    ScopedCounterSet routed(&counters);
+    waiter.StartTxn(3, 1);
+    const uint64_t start = NowNanos();
+    waiter.SetDeadline(start + 10'000);
+    const Status st = lm.Lock(&waiter, id, LockMode::kX);
+    EXPECT_TRUE(st.IsTimedOut()) << st.ToString();
+    EXPECT_LT(NowNanos() - start, 10'000 + kLateNs);
+    EXPECT_EQ(counters.Get(Counter::kLockDeadlineCancels), 1u);
+    EXPECT_EQ(counters.Get(Counter::kLockTimeouts), 0u);
+    EXPECT_EQ(counters.Get(Counter::kLockSpinGrants), 0u);
+    lm.ReleaseAll(&waiter, nullptr, false);
+  }
+  lm.ReleaseAll(&holder, nullptr, false);
+  lm.table().ForEachHead([](LockHead* h) {
+    if (h->id == LockId::Table(0, 6)) EXPECT_TRUE(h->QueueEmpty());
+  });
+}
+
+TEST_F(LockManagerTest, VictimChosenWhileSpinningReturnsDeadlock) {
+  ForcedCpus cpus(4);
+  LockManagerOptions o = FastOptions();
+  o.enable_deadlock_detector = false;
+  LockManager lm(o);
+  const LockId id = LockId::Table(0, 7);
+  LockClient holder, waiter;
+  holder.StartTxn(1, 0);
+  waiter.StartTxn(2, 1);
+  ASSERT_TRUE(lm.Lock(&holder, id, LockMode::kX).ok());
+  holder.cache().Find(id)->head->hold_cycles = CyclesForMicros(35);
+  CounterSet counters;
+  std::thread t([&] {
+    ScopedCounterSet routed(&counters);
+    const Status st = lm.Lock(&waiter, id, LockMode::kX);
+    EXPECT_TRUE(st.IsDeadlock()) << st.ToString();
+    lm.ReleaseAll(&waiter, nullptr, false);
+  });
+  // The detector's side of a victim choice, as soon as the wait starts.
+  SpinUntilWaiting(waiter);
+  waiter.deadlock_victim().store(true);
+  waiter.Wake();
+  t.join();
+  EXPECT_EQ(counters.Get(Counter::kDeadlocks), 1u);
+  EXPECT_EQ(counters.Get(Counter::kLockSpinGrants), 0u);
+  lm.ReleaseAll(&holder, nullptr, false);
+  lm.table().ForEachHead([](LockHead* h) { EXPECT_TRUE(h->QueueEmpty()); });
 }
 
 TEST_F(LockManagerTest, ParentCoverageSkipsChildLocks) {

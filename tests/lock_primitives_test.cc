@@ -3,6 +3,8 @@
 // inheritance list.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
 #include <vector>
 
 #include "src/lock/agent_sli.h"
@@ -11,6 +13,7 @@
 #include "src/lock/lock_head.h"
 #include "src/lock/lock_table.h"
 #include "src/stats/counters.h"
+#include "src/util/time_util.h"
 
 namespace slidb {
 namespace {
@@ -459,18 +462,28 @@ TEST(LockHeadTest, MaskExcludingRemovesSoleContribution) {
             ModeBit(LockMode::kS) | ModeBit(LockMode::kIX));
 }
 
-TEST(LockClientWakeTest, WakeSkipsMutexWhenNobodyCanBeParked) {
+TEST(LockClientWakeTest, WakeSkipsSyscallUnlessParked) {
   CounterSet counters;
   ScopedCounterSet routed(&counters);
   LockClient c;
-  // Nobody inside a wait window: the fast path skips the mutex.
+  // Nobody parked: the wake costs no syscall.
   c.Wake();
   EXPECT_EQ(counters.Get(Counter::kLockWakeFast), 1u);
-  // Inside the window, Wake must take the slow (mutex + notify) path.
-  c.BeginWaitWindow();
+  // A parked owner is woken through the futex word, long before its
+  // deadline.
+  std::atomic<bool> resolved{false};
+  const uint64_t start = NowNanos();
+  std::thread owner([&] {
+    const auto done = [&] { return resolved.load(); };
+    while (!done()) c.Park(done, start + 30'000'000'000ull);
+  });
+  while (!c.parked()) std::this_thread::yield();
+  resolved.store(true);
   c.Wake();
+  owner.join();
+  EXPECT_LT(NowNanos() - start, 10'000'000'000ull);
   EXPECT_EQ(counters.Get(Counter::kLockWakeFast), 1u);
-  c.EndWaitWindow();
+  EXPECT_FALSE(c.parked());
   c.Wake();
   EXPECT_EQ(counters.Get(Counter::kLockWakeFast), 2u);
 }

@@ -292,6 +292,8 @@ TEST(TxnTest, LegacyOrderingHoldsLocksUntilDurable) {
   other.StartTxn(1000, 9);
   EXPECT_TRUE(lock_manager.Lock(&other, LockId::Table(0, 1), LockMode::kX)
                   .IsTimedOut());
+  // The timed-out transaction still holds its parent intention lock.
+  lock_manager.ReleaseAll(&other, nullptr, false);
 
   gate.Open();
   committer.join();
