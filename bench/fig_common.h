@@ -28,7 +28,6 @@ struct PaperWorkload {
 inline DatabaseOptions BenchDbOptions(bool sli) {
   DatabaseOptions o;
   o.lock.enable_sli = sli;
-  o.lock.deadlock_interval_us = 500;
   o.lock.lock_timeout_us = 5'000'000;
   // Simulate the queue-traversal cost of a loaded many-context machine
   // (DESIGN.md substitution; SimQueueWorkNs() reads the --sim=NS flag).
@@ -88,9 +87,9 @@ inline std::unique_ptr<PaperWorkload> MakeTpcc(const std::string& label,
   return pw;
 }
 
-/// Lazy factory for one roster entry. Databases own background threads
-/// (log flusher, deadlock detector), so benches must construct one at a
-/// time — never the whole roster at once.
+/// Lazy factory for one roster entry. A database owns a log-flusher thread
+/// and a 256 MB buffer pool, so benches must construct one at a time —
+/// never the whole roster at once.
 struct RosterEntry {
   std::string label;
   std::function<std::unique_ptr<PaperWorkload>(bool sli)> make;

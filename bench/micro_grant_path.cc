@@ -40,7 +40,6 @@ struct Sample {
 
 Sample RunOne(const Series& series, int depth, uint64_t iters) {
   LockManagerOptions o;
-  o.enable_deadlock_detector = false;
   // Measure the real code path, not the simulated many-context load.
   o.sim_queue_work_ns = 0;
   LockManager lm(o);

@@ -37,15 +37,9 @@ void BM_RwLatchShared(benchmark::State& state) {
 }
 BENCHMARK(BM_RwLatchShared)->Threads(1)->Threads(4);
 
-LockManagerOptions QuietOptions() {
-  LockManagerOptions o;
-  o.enable_deadlock_detector = false;
-  return o;
-}
-
 /// Full acquire+release round trip through the lock manager, by level.
 void BM_LockAcquireRelease(benchmark::State& state) {
-  LockManager lm(QuietOptions());
+  LockManager lm;
   LockClient c;
   uint64_t txn = 1;
   const int level = static_cast<int>(state.range(0));
@@ -65,7 +59,7 @@ BENCHMARK(BM_LockAcquireRelease)->Arg(0)->Arg(1)->Arg(2);
 
 /// Repeat-acquire: the transaction lock-cache hit path.
 void BM_LockCacheHit(benchmark::State& state) {
-  LockManager lm(QuietOptions());
+  LockManager lm;
   LockClient c;
   c.StartTxn(1, 0);
   (void)lm.Lock(&c, LockId::Table(0, 1), LockMode::kS);
@@ -79,7 +73,7 @@ BENCHMARK(BM_LockCacheHit);
 /// The SLI fast path: commit inherits, next transaction reclaims via CAS.
 /// Compare against BM_LockAcquireRelease/0 — the round trip it replaces.
 void BM_SliInheritReclaimCycle(benchmark::State& state) {
-  LockManagerOptions o = QuietOptions();
+  LockManagerOptions o;
   o.enable_sli = true;
   o.sli_require_hot = false;
   LockManager lm(o);
@@ -105,7 +99,7 @@ BENCHMARK(BM_SliInheritReclaimCycle);
 void BM_BaselineContendedTableLock(benchmark::State& state) {
   static LockManager* lm = nullptr;
   if (state.thread_index() == 0) {
-    lm = new LockManager(QuietOptions());
+    lm = new LockManager();
   }
   LockClient c;
   uint64_t txn = state.thread_index() * 1'000'000 + 1;
@@ -123,7 +117,7 @@ BENCHMARK(BM_BaselineContendedTableLock)->Threads(1)->Threads(2)->Threads(4)->Th
 void BM_SliContendedTableLock(benchmark::State& state) {
   static LockManager* lm = nullptr;
   if (state.thread_index() == 0) {
-    LockManagerOptions o = QuietOptions();
+    LockManagerOptions o;
     o.enable_sli = true;
     o.sli_require_hot = false;
     lm = new LockManager(o);

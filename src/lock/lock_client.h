@@ -18,11 +18,12 @@ namespace slidb {
 /// Per-transaction lock state. Reset between transactions; owned by exactly
 /// one agent thread at a time.
 ///
-/// Lifetime: a waker (a granter on its way to Wake(), or the deadlock
-/// detector working on its waits-for snapshot) may still use a client after
-/// the client's waiter saw its grant or victim flag and moved on. Wakers
-/// pin the client first (Pin), and the destructor waits until every pin is
-/// dropped, so an agent may retire its client while the lock manager runs.
+/// Lifetime: a waker (a granter on its way to Wake(), or another
+/// transaction's waiter running a deadlock pass over its waits-for
+/// snapshot) may still use a client after the client's waiter saw its
+/// grant or victim flag and moved on. Wakers pin the client first (Pin),
+/// and the destructor waits until every pin is dropped, so an agent may
+/// retire its client while other agents still run the lock manager.
 class LockClient {
  public:
   LockClient() = default;
@@ -99,7 +100,8 @@ class LockClient {
 
   // ---- blocking machinery ----
 
-  /// Request this client is currently blocked on (deadlock detector input).
+  /// Request this client is currently blocked on; set for the whole lock
+  /// wait (tests poll it to know a waiter has enqueued).
   std::atomic<LockRequest*>& waiting_on() { return waiting_on_; }
 
   std::atomic<bool>& deadlock_victim() { return deadlock_victim_; }
@@ -131,7 +133,7 @@ class LockClient {
     return park_word_.load(std::memory_order_relaxed) == kParked;
   }
 
-  /// Wake a blocked client (called by lock releasers and the detector,
+  /// Wake a blocked client (called by lock releasers and deadlock passes,
   /// after they stored what the waiter polls). A waiter still spinning, or
   /// not waiting at all, costs no syscall (`lock.wake_fast`).
   void Wake() {
@@ -146,9 +148,9 @@ class LockClient {
   }
 
  private:
-  /// Atomic: the deadlock detector walks its waits-for graph after the
-  /// latches are dropped and may read the id of a client that has already
-  /// moved on to its next transaction (a stale id only skews the victim
+  /// Atomic: a deadlock pass walks its waits-for graph after the latches
+  /// are dropped and may read the id of a client that has already moved on
+  /// to its next transaction (a stale id only skews the victim
   /// choice of a cycle that no longer exists).
   std::atomic<uint64_t> txn_id_{0};
   uint64_t dep_lsn_ = 0;  ///< max durability dependency (single-threaded)

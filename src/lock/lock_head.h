@@ -122,8 +122,8 @@ struct LockHead {
 
   /// Aggregate waiter count of the hash bucket holding this head, wired by
   /// LockTable at creation. Maintained alongside waiter_count (AddWaiter /
-  /// RemoveWaiter) so the deadlock detector can skip whole buckets — idle
-  /// tables are scanned without touching a single head latch.
+  /// RemoveWaiter) so a deadlock pass can skip whole buckets: it latches
+  /// only buckets and heads that have a waiter.
   std::atomic<uint32_t>* bucket_waiters = nullptr;
 
   /// Waiter boundary: the earliest queue node that may still be in
@@ -226,7 +226,8 @@ struct LockHead {
   bool QueueEmpty() const { return q_head == nullptr; }
 
   /// A request entered kWaiting/kConverting. Keeps the head's count (SLI
-  /// criterion 4) and the bucket aggregate (detector bucket skip) in step.
+  /// criterion 4) and the bucket aggregate (deadlock-pass bucket skip) in
+  /// step.
   void AddWaiter() {
     waiter_count.fetch_add(1, std::memory_order_acq_rel);
     if (bucket_waiters != nullptr) {

@@ -31,6 +31,11 @@ constexpr int kMaxDepth = 8;
 /// the holds of a lock kept across a slow log device.
 constexpr uint64_t kSpinCapNs = 40'000;
 
+/// How long a waiter stays parked before it runs a deadlock pass, and the
+/// least time between two passes. Long enough that waits ended by an
+/// ordinary release rarely pay for a pass.
+constexpr uint64_t kDeadlockCheckNs = 1'000'000;
+
 /// Modes whose holder may have written data this lock protects (directly,
 /// or via children under an intent mode). Only these stamp the durability
 /// horizon at release — pure read modes (S/IS) protect nothing a reader
@@ -66,22 +71,8 @@ void LockManager::SimulateQueueWork(LockHead* h) {
 
 LockManager::LockManager(LockManagerOptions options)
     : options_(options),
-      table_(options.num_buckets),
       spin_cap_cycles_(
-          static_cast<uint64_t>(kSpinCapNs * CyclesPerNano())) {
-  if (options_.enable_deadlock_detector) {
-    detector_ = std::thread([this] { DetectorLoop(); });
-  }
-}
-
-LockManager::~LockManager() {
-  {
-    std::lock_guard<std::mutex> g(detector_mu_);
-    stop_detector_ = true;
-  }
-  detector_cv_.notify_all();
-  if (detector_.joinable()) detector_.join();
-}
+          static_cast<uint64_t>(kSpinCapNs * CyclesPerNano())) {}
 
 Status LockManager::Lock(LockClient* c, const LockId& id, LockMode mode) {
   ScopedComponent comp(Component::kLockManager);
@@ -431,21 +422,35 @@ Status LockManager::WaitForGrant(LockClient* c, LockRequest* r,
   const uint64_t park_start = RdCycles();
   if (profile != nullptr) profile->AttributeContention(spin_start, park_start);
 
+  // Park in slices of kDeadlockCheckNs. A wait still unresolved after a
+  // slice runs a deadlock pass itself; the pass is work, not blocked time.
   bool parked = false;
+  uint64_t blocked_from = park_start;
+  uint64_t check_ns = NowNanos() + kDeadlockCheckNs;
   for (;;) {
     if (resolved()) break;
-    if (NowMicros() >= deadline_us) {
+    const uint64_t now_ns = NowNanos();
+    if (now_ns >= deadline_us * 1000) {
       timed_out = true;
       break;
+    }
+    if (now_ns >= check_ns) {
+      if (profile != nullptr) {
+        profile->AttributeBlocked(blocked_from, RdCycles());
+      }
+      RunDeadlockPassIfDue(now_ns);
+      blocked_from = RdCycles();
+      check_ns = NowNanos() + kDeadlockCheckNs;
+      continue;  // the pass may have chosen this waiter
     }
     if (!parked) {
       CountEvent(Counter::kLockParks);
       parked = true;
     }
-    c->Park(resolved, deadline_us * 1000);
+    c->Park(resolved, std::min(deadline_us * 1000, check_ns));
   }
   if (parked) {
-    if (profile != nullptr) profile->AttributeBlocked(park_start, RdCycles());
+    if (profile != nullptr) profile->AttributeBlocked(blocked_from, RdCycles());
   } else if (r->status.load(std::memory_order_acquire) ==
              RequestStatus::kGranted) {
     CountEvent(Counter::kLockSpinGrants);
@@ -801,7 +806,18 @@ void LockManager::ClassifyAcquisition(const LockId& id, LockMode mode,
   }
 }
 
+void LockManager::RunDeadlockPassIfDue(uint64_t now_ns) {
+  // The caller has waited a whole slice, so a pass stamped less than
+  // kDeadlockCheckNs ago began after it enqueued and saw its edge; so does
+  // the pass of a waiter that wins the CAS first.
+  uint64_t last = last_pass_ns_.load();
+  if (last + kDeadlockCheckNs > now_ns) return;
+  if (!last_pass_ns_.compare_exchange_strong(last, now_ns)) return;
+  RunDeadlockDetection();
+}
+
 size_t LockManager::RunDeadlockDetection() {
+  CountEvent(Counter::kDeadlockPasses);
   // Snapshot the waits-for graph. Nodes are transactions (by LockClient*);
   // edges follow the queue semantics: a waiter waits on every live granted /
   // converting holder it conflicts with, plus every earlier queued waiter
@@ -908,24 +924,6 @@ size_t LockManager::RunDeadlockDetection() {
   }
   for (LockClient* cl : pinned) cl->Unpin();
   return victims;
-}
-
-void LockManager::DetectorLoop() {
-  std::unique_lock<std::mutex> lk(detector_mu_);
-  while (!stop_detector_) {
-    detector_cv_.wait_for(
-        lk, std::chrono::microseconds(options_.deadlock_interval_us));
-    if (stop_detector_) break;
-    lk.unlock();
-    RunDeadlockDetection();
-    lk.lock();
-  }
-}
-
-LockManagerStats LockManager::Stats() {
-  LockManagerStats stats;
-  stats.lock_heads = table_.CountHeads();
-  return stats;
 }
 
 }  // namespace slidb

@@ -17,10 +17,7 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 #include "src/lock/agent_sli.h"
@@ -33,8 +30,6 @@ namespace slidb {
 /// Tuning knobs. The sli_require_* flags exist for the criteria-ablation
 /// experiments; defaults match the paper.
 struct LockManagerOptions {
-  size_t num_buckets = 1 << 14;
-
   /// Criterion 2 threshold: hot = at least this many of the last 16 latch
   /// acquisitions on the head were contended (paper: tunable threshold).
   uint32_t hot_min_contended = 4;
@@ -88,15 +83,6 @@ struct LockManagerOptions {
   /// waiters is cancelled immediately with a retryable Status::Overloaded
   /// instead of deepening the convoy. 0 = off (default).
   uint32_t hot_wait_depth = 0;
-
-  /// Waits-for-graph detector; runs in a background thread.
-  bool enable_deadlock_detector = true;
-  uint64_t deadlock_interval_us = 1'000;
-};
-
-/// Aggregate lock-manager gauges (approximate; read without latches).
-struct LockManagerStats {
-  size_t lock_heads = 0;
 };
 
 /// The SLI policy presets the contention benches ablate. kOn is the paper
@@ -156,7 +142,6 @@ class WakeBatch {
 class LockManager {
  public:
   explicit LockManager(LockManagerOptions options = {});
-  ~LockManager();
 
   LockManager(const LockManager&) = delete;
   LockManager& operator=(const LockManager&) = delete;
@@ -189,8 +174,10 @@ class LockManager {
   /// lock cache").
   void AdoptInherited(LockClient* c, AgentSliState* sli);
 
-  /// Run one deadlock detection pass (also used directly by tests).
-  /// Returns the number of victims chosen.
+  /// Run one deadlock detection pass: snapshot the waits-for graph and
+  /// choose the youngest transaction on each cycle as its victim. Waiters
+  /// run it themselves (see WaitForGrant); tests call it directly. Returns
+  /// the number of victims chosen.
   size_t RunDeadlockDetection();
 
   const LockManagerOptions& options() const { return options_; }
@@ -198,8 +185,6 @@ class LockManager {
   LockManagerOptions& mutable_options() { return options_; }
 
   LockTable& table() { return table_; }
-
-  LockManagerStats Stats();
 
   /// RdCycles a lock waiter spins before parking: the whole expected wait,
   /// `hold_cycles` (the head's hold estimate), when no waiter is `ahead`
@@ -219,9 +204,10 @@ class LockManager {
   Status Upgrade(LockClient* c, LockRequest* r, LockMode mode);
   /// Blocks until `r` is granted, the client is victimized, or the timeout
   /// fires: spins for `spin_cycles` (SpinBudget), then parks on the
-  /// client's futex word. On failure, `r` is cleaned up (unlinked+freed for
-  /// new requests, reverted for conversions) — unless it was granted
-  /// concurrently with the victim decision, in which case
+  /// client's futex word in 1 ms slices, calling RunDeadlockPassIfDue
+  /// after each slice that ends unresolved. On failure, `r` is cleaned up
+  /// (unlinked+freed for new requests, reverted for conversions) — unless
+  /// it was granted concurrently with the victim decision, in which case
   /// `*granted_anyway` is set and the caller must register the granted
   /// request so the abort path releases it.
   Status WaitForGrant(LockClient* c, LockRequest* r, uint64_t spin_cycles,
@@ -264,7 +250,9 @@ class LockManager {
 
   void ClassifyAcquisition(const LockId& id, LockMode mode, bool hot);
 
-  void DetectorLoop();
+  /// Run RunDeadlockDetection unless a pass started less than 1 ms before
+  /// `now_ns` (NowNanos clock), so passes run at most once a millisecond.
+  void RunDeadlockPassIfDue(uint64_t now_ns);
 
   LockManagerOptions options_;
   LockTable table_;
@@ -272,11 +260,8 @@ class LockManager {
   /// Waiters spinning right now; at most UsableCpus() - 1, so a spinner
   /// never takes the last CPU a holder could release on.
   std::atomic<uint32_t> spinners_{0};
-
-  std::thread detector_;
-  std::mutex detector_mu_;
-  std::condition_variable detector_cv_;
-  bool stop_detector_ = false;
+  /// NowNanos at the start of the last waiter-run deadlock pass.
+  std::atomic<uint64_t> last_pass_ns_{0};
 };
 
 }  // namespace slidb

@@ -29,17 +29,6 @@ enum class RequestStatus : uint8_t {
   kInvalid,      ///< inheritance killed; memory awaits owner-agent GC
 };
 
-inline const char* RequestStatusName(RequestStatus s) {
-  switch (s) {
-    case RequestStatus::kWaiting: return "waiting";
-    case RequestStatus::kConverting: return "converting";
-    case RequestStatus::kGranted: return "granted";
-    case RequestStatus::kInherited: return "inherited";
-    case RequestStatus::kInvalid: return "invalid";
-  }
-  return "?";
-}
-
 /// One lock request. Allocated from the owning agent thread's RequestPool;
 /// freed only by that same thread (single-owner memory discipline, which is
 /// what makes the latch-free reclaim/invalidate CAS protocol safe).

@@ -142,13 +142,4 @@ size_t LockTable::CountHeads() {
   return count;
 }
 
-size_t LockTable::FreeListSize() {
-  size_t count = 0;
-  for (size_t i = 0; i <= bucket_mask_; ++i) {
-    SpinLatchGuard g(buckets_[i]->latch);
-    count += buckets_[i]->free_count;
-  }
-  return count;
-}
-
 }  // namespace slidb

@@ -40,9 +40,6 @@ class LockTable {
   /// call any time; no-ops when in use.
   void TryReclaim(const LockId& id);
 
-  /// Heads currently parked on bucket freelists (stats/tests).
-  size_t FreeListSize();
-
   /// Iterate all heads (stats). `fn` is invoked with the head latch held;
   /// it must not block or acquire other latches.
   template <typename Fn>
@@ -65,8 +62,9 @@ class LockTable {
   /// dozens of uncontended row heads next to the single contended one).
   /// Waits-for edges only exist on heads with a waiting or converting
   /// request, so this visits every head that can contribute one; a waiter
-  /// arriving concurrently with either skip check is caught by the
-  /// caller's next pass (the deadlock detector is periodic by design).
+  /// arriving concurrently with either skip check is seen by a later pass,
+  /// which that waiter runs itself, or finds already begun, once it has
+  /// waited a millisecond (LockManager::WaitForGrant).
   template <typename Fn>
   void ForEachHeadWithWaiters(Fn&& fn) {
     for (size_t i = 0; i <= bucket_mask_; ++i) {

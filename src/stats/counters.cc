@@ -21,6 +21,7 @@ const char* CounterName(Counter c) {
     case Counter::kLockParks: return "lock.parks";
     case Counter::kLockTimeouts: return "lock.timeouts";
     case Counter::kDeadlocks: return "lock.deadlocks";
+    case Counter::kDeadlockPasses: return "lock.deadlock_passes";
     case Counter::kLockReleases: return "lock.releases";
     case Counter::kCanGrantFast: return "lock.cangrant_fast";
     case Counter::kCanGrantSlow: return "lock.cangrant_slow";

@@ -21,7 +21,8 @@ enum class Counter : uint32_t {
   kLockSpinGrants,     ///< lock waits granted while the waiter spun
   kLockParks,          ///< lock waits that parked on the client's futex word
   kLockTimeouts,
-  kDeadlocks,          ///< victims aborted by the detector
+  kDeadlocks,          ///< waits ended as a deadlock pass's victim
+  kDeadlockPasses,     ///< waits-for passes run (by waiters parked 1 ms)
   kLockReleases,
   kCanGrantFast,       ///< conflict checks answered O(1) from the summary
   kCanGrantSlow,       ///< conflict checks that walked the queue (inherited

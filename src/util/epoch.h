@@ -35,8 +35,8 @@ namespace slidb {
 class EpochManager {
  public:
   /// Hard cap on concurrently-registered threads (slot registry size).
-  /// Exceeding it aborts with a diagnostic; agent counts in this codebase
-  /// are gated on hardware_concurrency() and stay far below.
+  /// Exceeding it aborts with a diagnostic; agent and test thread counts
+  /// in this codebase stay far below.
   static constexpr size_t kMaxThreads = 256;
 
   /// Free a retiree once at least this many are pending (amortizes the

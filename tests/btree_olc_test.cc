@@ -3,9 +3,9 @@
 // interleaving that forces an optimistic restart, and the concurrent B-tree
 // stress test (readers + inserters + removers over duplicate keys and
 // split-heavy ranges) asserting no lost or phantom entries. Runs under
-// TSan in CI next to the lock/log TSan jobs; the stress test's thread
-// counts are gated on hardware_concurrency(), and nothing here asserts on
-// how often threads happen to overlap.
+// TSan in CI next to the lock/log TSan jobs; thread counts are fixed, and
+// nothing here asserts on how often threads happen to overlap, so the
+// suite behaves the same on one CPU.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -191,8 +191,7 @@ TEST(EpochManagerTest, ConcurrentGuardsAndRetires) {
   // Retire heap ints from one thread while others cycle guards.
   std::atomic<bool> stop{false};
   std::vector<std::thread> guards;
-  const int nguards =
-      std::max(1u, std::min(3u, std::thread::hardware_concurrency()));
+  constexpr int nguards = 3;
   for (int t = 0; t < nguards; ++t) {
     guards.emplace_back([&] {
       while (!stop.load()) {
@@ -307,9 +306,8 @@ TEST(BTreeOlcTest, ScanStepsOntoRetiredLeafAndRestarts) {
 // own entries; the final tree must equal exactly the union of what every
 // writer kept.
 TEST(BTreeOlcStressTest, ReadersInsertersRemoversConverge) {
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  const int kWriters = hw >= 4 ? 4 : 2;
-  const int kReaders = hw >= 4 ? 3 : 2;
+  constexpr int kWriters = 4;
+  constexpr int kReaders = 3;
   const int kOpsPerWriter = 6000;
   const uint64_t kKeySpace = 512;  // narrow: constant splits + duplicates
 

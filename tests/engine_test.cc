@@ -20,7 +20,6 @@ std::span<const uint8_t> Bytes(const std::string& s) {
 DatabaseOptions TestOptions() {
   DatabaseOptions o;
   o.buffer.num_frames = 1024;
-  o.lock.deadlock_interval_us = 300;
   o.lock.lock_timeout_us = 2'000'000;
   o.log.flush_interval_us = 50;
   return o;

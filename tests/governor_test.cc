@@ -95,9 +95,6 @@ TEST(GovernorTest, QueuedArrivalTimesOutAtDeadline) {
 }
 
 TEST(GovernorTest, ReleaseDrainsQueueAndFullQueueSheds) {
-  if (std::thread::hardware_concurrency() < 2) {
-    GTEST_SKIP() << "needs a second thread to park in the entry queue";
-  }
   AdmissionGovernor gov({.max_inflight = 1, .max_queue = 1});
   ASSERT_TRUE(gov.Admit().ok());
 
@@ -126,11 +123,7 @@ TEST(GovernorTest, ReleaseDrainsQueueAndFullQueueSheds) {
 }
 
 TEST(GovernorTest, LockWaitHonorsTxnDeadline) {
-  if (std::thread::hardware_concurrency() < 2) {
-    GTEST_SKIP() << "needs a concurrent lock holder";
-  }
   LockManagerOptions o;
-  o.enable_deadlock_detector = false;
   o.lock_timeout_us = 10'000'000;  // far beyond the deadline under test
   LockManager lm(o);
 
@@ -167,11 +160,7 @@ TEST(GovernorTest, LockWaitHonorsTxnDeadline) {
 }
 
 TEST(GovernorTest, HotHeadWaitDepthCancel) {
-  if (std::thread::hardware_concurrency() < 2) {
-    GTEST_SKIP() << "needs a concurrent waiter to fill the depth budget";
-  }
   LockManagerOptions o;
-  o.enable_deadlock_detector = false;
   o.lock_timeout_us = 10'000'000;
   o.hot_wait_depth = 1;
   o.hot_min_contended = 0;  // every head counts as hot: isolates the depth
@@ -210,7 +199,6 @@ TEST(GovernorTest, HotHeadWaitDepthCancel) {
 DatabaseOptions GovDbOptions() {
   DatabaseOptions o;
   o.buffer.num_frames = 256;
-  o.lock.deadlock_interval_us = 300;
   o.log.flush_interval_us = 50;
   return o;
 }

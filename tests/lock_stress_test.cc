@@ -32,7 +32,6 @@ TEST_P(LockStress, MutualExclusionInvariantHolds) {
   o.enable_sli = cfg.sli;
   o.sli_require_hot = cfg.require_hot;
   o.sli_hysteresis = cfg.hysteresis;
-  o.deadlock_interval_us = 300;
   o.lock_timeout_us = 3'000'000;
   LockManager lm(o);
 
@@ -256,9 +255,7 @@ TEST(LockStressExtra, BimodalWorkloadConverges) {
 TEST(LockStressExtra, HierarchyMixedGranularityConflicts) {
   // A table-X holder excludes row-level users and vice versa through the
   // intention hierarchy, repeatedly and concurrently.
-  LockManagerOptions o;
-  o.deadlock_interval_us = 300;
-  LockManager lm(o);
+  LockManager lm;
   std::atomic<bool> table_locked{false};
   std::atomic<bool> violation{false};
   std::atomic<int> rows_active{0};

@@ -9,8 +9,7 @@
 // mutation, with log.checksum_fail firing precisely when the cut lands
 // inside a record.
 //
-// Multi-threaded sections follow the ROADMAP single-CPU guidance: thread
-// counts and iteration budgets scale with hardware_concurrency(), and the
+// Multi-threaded sections use fixed thread counts and budgets, and their
 // assertions are interleaving-independent (set membership and conservation
 // invariants), so the tests stay deterministic on one-context hosts.
 #include <gtest/gtest.h>
@@ -46,7 +45,6 @@ std::span<const uint8_t> Bytes(const std::string& s) {
 DatabaseOptions TestOptions() {
   DatabaseOptions o;
   o.buffer.num_frames = 1024;
-  o.lock.deadlock_interval_us = 300;
   o.lock.lock_timeout_us = 2'000'000;
   o.log.flush_interval_us = 50;
   return o;
@@ -963,18 +961,9 @@ TEST(RecoveryEngineTest, WatermarkFlushedAbortStaysAGhost) {
 
 // ---- concurrency: crash under load & the early-release durability gate ------
 
-/// Threads for concurrency tests, per the ROADMAP single-CPU guidance:
-/// interleaving-independent assertions only, and budgets shrink when the
-/// host cannot actually run threads in parallel.
-int ConcurrencyThreads() {
-  const unsigned hw = std::thread::hardware_concurrency();
-  if (hw >= 4) return 4;
-  return 2;
-}
-int ConcurrencyBudget(int per_thread) {
-  return std::thread::hardware_concurrency() >= 2 ? per_thread
-                                                  : per_thread / 4 + 1;
-}
+/// Agent threads in each concurrency test; their assertions hold for any
+/// interleaving, so one CPU runs the same budget as several.
+constexpr int kConcurrencyThreads = 4;
 
 TEST(RecoveryConcurrencyTest, TpcbTransfersCrashConservesTotalBalance) {
   // Multi-agent account transfers with a crash armed at a random flush:
@@ -1006,8 +995,8 @@ TEST(RecoveryConcurrencyTest, TpcbTransfersCrashConservesTotalBalance) {
     Rng arm_rng(2026);
     sink.Arm(500 + arm_rng.Next() % 8000);
 
-    const int threads = ConcurrencyThreads();
-    const int transfers = ConcurrencyBudget(150);
+    const int threads = kConcurrencyThreads;
+    const int transfers = 150;
     std::vector<std::thread> workers;
     for (int w = 0; w < threads; ++w) {
       workers.emplace_back([&, w] {
@@ -1136,8 +1125,8 @@ TEST(RecoveryConcurrencyTest, EarlyReleaseNeverReportsCommitBeforeDurable) {
     ASSERT_TRUE(db.Commit(setup.get()).ok());
   }
 
-  const int threads = ConcurrencyThreads();
-  const int txns = ConcurrencyBudget(200);
+  const int threads = kConcurrencyThreads;
+  const int txns = 200;
   std::atomic<uint64_t> violations{0};
   std::vector<std::thread> workers;
   for (int w = 0; w < threads; ++w) {
@@ -1201,8 +1190,8 @@ TEST(RecoveryConcurrencyTest, SpeculativeAckNeverSettlesBeforeCommitDurable) {
     setup->DrainDeferredAcks();
   }
 
-  const int threads = ConcurrencyThreads();
-  const int txns = ConcurrencyBudget(200);
+  const int threads = kConcurrencyThreads;
+  const int txns = 200;
   std::atomic<uint64_t> violations{0};
   std::atomic<uint64_t> deferred_total{0};
   std::mutex aborted_mu;
@@ -1972,8 +1961,6 @@ TEST(UndoClrTest, EngineEmitsClrsAndClosesLosersOnRecovery) {
 }
 
 // ---- checkpointer under concurrency -----------------------------------------
-// Timing-sensitive sections gate on hardware_concurrency() >= 2 per the
-// ROADMAP single-CPU guidance; the fallback runs the same logic serially.
 
 TEST(CheckpointConcurrencyTest, FuzzyPassesUnderConcurrentWriters) {
   CrashSink sink;
@@ -1991,9 +1978,8 @@ TEST(CheckpointConcurrencyTest, FuzzyPassesUnderConcurrentWriters) {
   }
   ASSERT_TRUE(db.Commit(setup.get()).ok());
 
-  const bool concurrent = std::thread::hardware_concurrency() >= 2;
-  const int kWriters = concurrent ? 3 : 1;
-  const int kTxnsPerWriter = concurrent ? 120 : 40;
+  constexpr int kWriters = 3;
+  constexpr int kTxnsPerWriter = 120;
   std::atomic<bool> writers_done{false};
   std::atomic<uint64_t> commit_failures{0};
 
@@ -2018,24 +2004,17 @@ TEST(CheckpointConcurrencyTest, FuzzyPassesUnderConcurrentWriters) {
   };
 
   uint64_t passes = 0;
-  if (concurrent) {
-    std::vector<std::thread> writers;
-    for (int w = 0; w < kWriters; ++w) writers.emplace_back(writer_fn, w);
-    // Checkpoint continuously while writers hammer the same rows: passes
-    // may abandon on lock timeouts (never deadlock), completed ones must
-    // be sound.
-    while (!writers_done.load(std::memory_order_acquire)) {
-      if (db.CheckpointNow().ok()) ++passes;
-      if (passes >= 64) break;  // plenty of fuzz; let writers finish
-    }
-    writers_done.store(true, std::memory_order_release);
-    for (auto& th : writers) th.join();
-  } else {
-    writer_fn(0);
-    passes = 0;
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) writers.emplace_back(writer_fn, w);
+  // Checkpoint continuously while writers hammer the same rows: passes may
+  // abandon on lock timeouts (never deadlock), completed ones must be sound.
+  while (!writers_done.load(std::memory_order_acquire)) {
+    if (db.CheckpointNow().ok()) ++passes;
+    if (passes >= 64) break;  // plenty of fuzz; let writers finish
   }
-  // At least one pass must complete with the writers quiesced (and on the
-  // single-CPU fallback this is the only pass).
+  writers_done.store(true, std::memory_order_release);
+  for (auto& th : writers) th.join();
+  // At least one pass must complete with the writers quiesced.
   ASSERT_TRUE(db.CheckpointNow().ok());
   ++passes;
   EXPECT_EQ(commit_failures.load(), 0u);
@@ -2057,11 +2036,6 @@ TEST(CheckpointConcurrencyTest, FuzzyPassesUnderConcurrentWriters) {
 }
 
 TEST(CheckpointConcurrencyTest, BackgroundCheckpointerTicks) {
-  if (std::thread::hardware_concurrency() < 2) {
-    // Single-CPU fallback: the background thread would only starve the
-    // workload; the synchronous path is covered above.
-    GTEST_SKIP() << "needs >= 2 hardware contexts";
-  }
   CrashSink sink;
   DatabaseOptions o = TestOptions();
   o.checkpoint_interval_ms = 5;

@@ -303,10 +303,9 @@ TEST(HashIndexTest, ConcurrentReadersSeeConsistentEntries) {
   // readers hammer the whole space through the optimistic path. Assertions
   // are interleaving-independent: a returned value must always be the one
   // the key was inserted with, and the final state must match exactly.
-  const unsigned hw = std::thread::hardware_concurrency();
-  const int kWriters = hw >= 4 ? 3 : 2;
-  const int kReaders = hw >= 4 ? 3 : 2;
-  const uint64_t kPerWriter = hw >= 2 ? 4000 : 1200;
+  constexpr int kWriters = 3;
+  constexpr int kReaders = 3;
+  constexpr uint64_t kPerWriter = 4000;
 
   HashIndex idx(8);
   std::atomic<bool> stop{false};

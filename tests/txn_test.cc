@@ -17,9 +17,7 @@ namespace {
 
 struct TxnHarness {
   TxnHarness() {
-    LockManagerOptions lo;
-    lo.deadlock_interval_us = 500;
-    lock_manager = std::make_unique<LockManager>(lo);
+    lock_manager = std::make_unique<LockManager>();
     LogOptions logo;
     logo.flush_interval_us = 50;
     log_manager = std::make_unique<LogManager>(logo);
@@ -214,9 +212,7 @@ struct FlushGate {
 
 TEST(TxnTest, EarlyLockReleaseDropsLocksBeforeDurability) {
   FlushGate gate;
-  LockManagerOptions lo;
-  lo.deadlock_interval_us = 500;
-  LockManager lock_manager(lo);
+  LockManager lock_manager;
   LogOptions logo;
   logo.flush_interval_us = 50;
   gate.Install(&logo);
@@ -264,7 +260,6 @@ TEST(TxnTest, EarlyLockReleaseDropsLocksBeforeDurability) {
 TEST(TxnTest, LegacyOrderingHoldsLocksUntilDurable) {
   FlushGate gate;
   LockManagerOptions lo;
-  lo.deadlock_interval_us = 500;
   lo.lock_timeout_us = 100'000;  // short: we expect a timeout below
   LockManager lock_manager(lo);
   LogOptions logo;
@@ -312,9 +307,7 @@ TEST(TxnTest, ReadOnlyCommitWaitsForObservedWritersDurability) {
   // un-commit. The read-only fast path therefore waits on the reserved-LSN
   // horizon instead of skipping the durable wait outright.
   FlushGate gate;
-  LockManagerOptions lo;
-  lo.deadlock_interval_us = 500;
-  LockManager lock_manager(lo);
+  LockManager lock_manager;
   LogOptions logo;
   logo.flush_interval_us = 50;
   gate.Install(&logo);
@@ -362,9 +355,7 @@ TEST(TxnTest, ReadOnlyCommitSkipsLogAndDurableWait) {
   // record or waiting for a pass — the sink stays gated (a durable
   // wait would hang and time the test out) and the log stays empty.
   FlushGate gate;
-  LockManagerOptions lo;
-  lo.deadlock_interval_us = 500;
-  LockManager lock_manager(lo);
+  LockManager lock_manager;
   LogOptions logo;
   logo.flush_interval_us = 50;
   gate.Install(&logo);
@@ -444,9 +435,7 @@ TEST(TxnTest, SpeculativeCommitsReturnEarlyAndSettleOnlyWhenDurable) {
   // settles before the writer's commit record is parseable from the
   // captured device stream.
   CapturingFlushGate gate;
-  LockManagerOptions lo;
-  lo.deadlock_interval_us = 500;
-  LockManager lock_manager(lo);
+  LockManager lock_manager;
   LogOptions logo;
   logo.flush_interval_us = 50;
   gate.Install(&logo);
@@ -528,9 +517,7 @@ TEST(TxnTest, WriterAbortAfterSpeculativeReadLeavesNoDependency) {
   // dependency: the reader's commit returns with the log fully gated
   // AND parks nothing.
   FlushGate gate;
-  LockManagerOptions lo;
-  lo.deadlock_interval_us = 500;
-  LockManager lock_manager(lo);
+  LockManager lock_manager;
   LogOptions logo;
   logo.flush_interval_us = 50;
   gate.Install(&logo);

@@ -17,7 +17,6 @@ namespace {
 DatabaseOptions SmallDbOptions(bool sli) {
   DatabaseOptions o;
   o.lock.enable_sli = sli;
-  o.lock.deadlock_interval_us = 500;
   o.lock.lock_timeout_us = 3'000'000;
   o.log.flush_interval_us = 100;
   o.buffer.num_frames = 1u << 14;  // 128 MB
