@@ -11,24 +11,25 @@
 //   replay: full recovery — scan plus redo of every committed mutation
 //           into fresh storage (records/s, txns/s).
 //
-// Two further sections quantify the PR-8 robustness work:
+// Two further sections cover bounded restart and the durable device:
 //
 //   bounded_restart: the same history with periodic fuzzy checkpoints —
 //           recovery anchors on the last complete checkpoint and redoes
 //           only the tail, so restart cost is bounded by checkpoint
 //           cadence instead of history length. Reports the redo fraction
 //           and the wall-clock speedup over the uncheckpointed replay.
-//   fsync_cadence: real-disk FileLogDevice append throughput at fsync
-//           cadence 1 (sync every flush), 8 (coalesced), and 0 (never —
-//           page-cache ceiling), the measured trade-off behind
-//           LogOptions::fsync_every_n_flushes.
+//   segmented_append: real-disk append throughput of 4 KiB appends through
+//           SegmentedLogDevice at the default segment capacity — the
+//           device Database opens for DatabaseOptions::log_path, which
+//           fsyncs every append before it returns.
 //
 // Emits a table on stdout and, with --json=FILE, BENCH_recovery.json:
 // {"bench":"micro_recovery","log_bytes":…,"records":…,
 //  "scan":[{"mb_per_s":…,"records_per_s":…}],
 //  "replay":[{"mb_per_s":…,"records_per_s":…,"txns_per_s":…}],
 //  "bounded_restart":{"redo_fraction":…,"speedup":…,…},
-//  "fsync_cadence":[{"cadence":…,"mb_per_s":…,"appends_per_s":…}]}.
+//  "segmented_append":{"append_bytes":…,"appends":…,"mb_per_s":…,
+//                      "appends_per_s":…}}.
 #include <algorithm>
 #include <cstdio>
 #include <memory>
@@ -231,35 +232,44 @@ Sample MeasureAnchoredReplay(const Workload& w, double window_s) {
   return s;
 }
 
-struct FsyncSample {
-  uint32_t cadence;
+struct AppendSample {
+  uint64_t appends;
   double mb_per_s;
   double appends_per_s;
 };
 
-/// Real-disk append throughput through a FileLogDevice at the given fsync
-/// cadence. Each append models one log pass (~4 KiB of log).
-FsyncSample MeasureFsyncCadence(uint32_t cadence, uint64_t appends) {
-  const std::string path = "slidb_bench_fsync.log";
-  std::remove(path.c_str());
-  constexpr size_t kChunk = 4096;
-  std::vector<uint8_t> buf(kChunk, 0xA5);
+constexpr size_t kAppendBytes = 4096;  ///< one log pass's worth of log
+
+/// Real-disk append throughput through the SegmentedLogDevice that
+/// Database opens for a log_path (default segment capacity). Each append
+/// models one log pass and is synced before it returns.
+AppendSample MeasureSegmentedAppend(uint64_t appends) {
+  const std::string prefix = "slidb_bench_segments.log";
+  const uint64_t seg_bytes = DatabaseOptions{}.log_segment_bytes;
+  const uint64_t segs = appends * kAppendBytes / seg_bytes + 1;
+  const auto remove_segments = [&] {
+    for (uint64_t seg = 0; seg < segs; ++seg) {
+      std::remove((prefix + ".gen0.seg" + std::to_string(seg)).c_str());
+    }
+  };
+  remove_segments();
+  std::vector<uint8_t> buf(kAppendBytes, 0xA5);
   const uint64_t start = NowMicros();
   {
-    std::unique_ptr<FileLogDevice> dev;
-    if (!FileLogDevice::Open(path, cadence, &dev).ok()) std::abort();
+    std::unique_ptr<SegmentedLogDevice> dev;
+    if (!SegmentedLogDevice::Open(prefix, seg_bytes, &dev).ok()) std::abort();
     Lsn lsn = 0;
     for (uint64_t i = 0; i < appends; ++i) {
       if (!dev->Append(buf.data(), buf.size(), lsn).ok()) std::abort();
       lsn += buf.size();
     }
-  }  // destructor syncs any unsynced tail (cadence > 1)
+  }
   const double secs =
       static_cast<double>(NowMicros() - start) / 1'000'000.0;
-  std::remove(path.c_str());
-  FsyncSample s{};
-  s.cadence = cadence;
-  s.mb_per_s = static_cast<double>(appends * kChunk) / secs / 1e6;
+  remove_segments();
+  AppendSample s{};
+  s.appends = appends;
+  s.mb_per_s = static_cast<double>(appends * kAppendBytes) / secs / 1e6;
   s.appends_per_s = static_cast<double>(appends) / secs;
   return s;
 }
@@ -310,18 +320,11 @@ int Main(int argc, char** argv) {
              Fmt("%.0f", ckpt_replay.txns_per_s),
              Fmt("%llu", static_cast<unsigned long long>(ckpt_replay.iters))});
 
-  // Real-disk fsync trade-off: cadence 1 is the durability contract,
-  // 8 coalesces syncs, 0 is the page-cache ceiling.
-  const uint64_t fsync_appends = args.quick ? 256 : 2048;
-  std::vector<FsyncSample> cadences;
-  for (const uint32_t c : {1u, 8u, 0u}) {
-    cadences.push_back(MeasureFsyncCadence(c, fsync_appends));
-  }
-  TablePrinter ftable({"fsync-cadence", "MB/s", "appends/s"});
-  for (const FsyncSample& s : cadences) {
-    ftable.Row({s.cadence == 0 ? "never" : Fmt("%u", s.cadence),
-                Fmt("%.1f", s.mb_per_s), Fmt("%.0f", s.appends_per_s)});
-  }
+  const AppendSample append =
+      MeasureSegmentedAppend(args.quick ? 256 : 2048);
+  TablePrinter atable({"device-append", "MB/s", "appends/s"});
+  atable.Row({"segmented 4 KiB", Fmt("%.1f", append.mb_per_s),
+              Fmt("%.0f", append.appends_per_s)});
 
   JsonWriter json;
   json.BeginObject();
@@ -354,15 +357,12 @@ int Main(int argc, char** argv) {
   json.Key("checkpointed_replay_s").Value(ckpt_replay.secs_per_iter);
   json.Key("speedup").Value(speedup);
   json.EndObject();
-  json.Key("fsync_cadence").BeginArray();
-  for (const FsyncSample& s : cadences) {
-    json.BeginObject();
-    json.Key("cadence").Value(static_cast<uint64_t>(s.cadence));
-    json.Key("mb_per_s").Value(s.mb_per_s);
-    json.Key("appends_per_s").Value(s.appends_per_s);
-    json.EndObject();
-  }
-  json.EndArray();
+  json.Key("segmented_append").BeginObject();
+  json.Key("append_bytes").Value(static_cast<uint64_t>(kAppendBytes));
+  json.Key("appends").Value(append.appends);
+  json.Key("mb_per_s").Value(append.mb_per_s);
+  json.Key("appends_per_s").Value(append.appends_per_s);
+  json.EndObject();
   json.EndObject();
   if (!args.json_path.empty()) {
     if (!json.WriteTo(args.json_path)) {

@@ -1,12 +1,16 @@
 #include "src/buffer/buffer_pool.h"
 
-#include <bit>
 #include <cassert>
 
 #include "src/stats/profiler.h"
 #include "src/util/time_util.h"
 
 namespace slidb {
+
+namespace {
+/// Page-table shards (a power of two): one spin latch and hash map each.
+constexpr size_t kTableShards = 64;
+}  // namespace
 
 void PageGuard::MarkDirty() {
   if (pool_ != nullptr) pool_->frames_[frame_idx_].dirty = true;
@@ -25,11 +29,8 @@ BufferPool::BufferPool(Volume* volume, BufferPoolOptions options)
   num_frames_ = options_.num_frames < 8 ? 8 : options_.num_frames;
   frames_ = std::make_unique<Frame[]>(num_frames_);
   pages_ = std::make_unique<Page[]>(num_frames_);
-  size_t shards = std::bit_ceil(options_.table_shards < 1
-                                    ? size_t{1}
-                                    : options_.table_shards);
-  shards_ = std::make_unique<CacheAligned<Shard>[]>(shards);
-  shard_mask_ = shards - 1;
+  shards_ = std::make_unique<CacheAligned<Shard>[]>(kTableShards);
+  shard_mask_ = kTableShards - 1;
 }
 
 BufferPool::~BufferPool() { FlushAll(); }

@@ -23,7 +23,6 @@ struct BufferPoolOptions {
   /// uses 6 ms to emulate a seek-bound disk array; default 0 keeps unit
   /// tests fast.
   uint64_t simulated_io_delay_us = 0;
-  size_t table_shards = 64;
 };
 
 struct BufferPoolStats {

@@ -13,19 +13,8 @@ Database::Database(DatabaseOptions options) : options_(std::move(options)) {
   volume_ = std::make_unique<Volume>();
   buffer_pool_ = std::make_unique<BufferPool>(volume_.get(), options_.buffer);
   if (!options_.log_path.empty() && !options_.log.flush_sink) {
-    const uint32_t cadence = options_.log.fsync_every_n_flushes;
-    Status st;
-    if (options_.log_segment_bytes != 0) {
-      std::unique_ptr<SegmentedLogDevice> device;
-      st = SegmentedLogDevice::Open(options_.log_path, cadence,
-                                    options_.log_segment_bytes, &device);
-      seg_device_ = device.get();
-      log_device_ = std::move(device);
-    } else {
-      std::unique_ptr<FileLogDevice> device;
-      st = FileLogDevice::Open(options_.log_path, cadence, &device);
-      log_device_ = std::move(device);
-    }
+    const Status st = SegmentedLogDevice::Open(
+        options_.log_path, options_.log_segment_bytes, &log_device_);
     if (!st.ok()) {
       // Fail-stop: the caller configured a durable log; silently running
       // sink-less would ack commits that exist nowhere but RAM.
@@ -57,11 +46,7 @@ Status Database::CheckpointNow(Lsn* redo_start_out) {
 Status Database::Recover(const std::string& path, RecoveryReport* report) {
   std::vector<uint8_t> stream;
   Lsn base = 0;
-  if (options_.log_segment_bytes != 0) {
-    SLIDB_RETURN_NOT_OK(SegmentedLogDevice::ReadLog(path, &stream, &base));
-  } else {
-    SLIDB_RETURN_NOT_OK(FileLogDevice::ReadFile(path, &stream));
-  }
+  SLIDB_RETURN_NOT_OK(SegmentedLogDevice::ReadLog(path, &stream, &base));
   return RecoverFromStream(std::move(stream), report, base);
 }
 
@@ -98,22 +83,22 @@ Status Database::RecoverFromStream(std::vector<uint8_t> stream,
     }
     if (last != 0) log_manager_->WaitDurable(last);
     if (recovery.report().records_replayed > 0 ||
-        recovery.report().losers_rolled_back > 0 || seg_device_ != nullptr) {
+        recovery.report().losers_rolled_back > 0 || log_device_ != nullptr) {
       // OPENING CHECKPOINT: the recovered state exists nowhere in the new
       // log (redo was applied directly to storage), so without an anchor a
       // SECOND crash would recover only post-recovery transactions. A
       // checkpoint pass images the recovered state and hardens it before
-      // traffic starts. Segmented mode runs it even over an empty stream so
-      // the new generation materializes — on the first pass that writes
+      // traffic starts. With a log device it runs even over an empty stream
+      // so the new generation materializes — on the first pass that writes
       // it, typically the one the checkpoint's own WaitDurable leads —
       // before it is marked authoritative below.
       SLIDB_RETURN_NOT_OK(checkpointer_->CheckpointNow());
     }
-    if (seg_device_ != nullptr) {
+    if (log_device_ != nullptr) {
       // Flip the new generation live (and drop the old one) only now that
       // it provably carries the recovered state. Also correct for an empty
       // previous log: there is nothing to lose.
-      SLIDB_RETURN_NOT_OK(seg_device_->MarkGenerationAuthoritative());
+      SLIDB_RETURN_NOT_OK(log_device_->MarkGenerationAuthoritative());
     }
   }
   if (report != nullptr) *report = recovery.report();

@@ -31,17 +31,15 @@ struct DatabaseOptions {
   LogOptions log;
   TxnOptions txn;
   BufferPoolOptions buffer;
-  /// When non-empty, the WAL is persisted to this file (FileLogDevice
-  /// behind log.flush_sink) and Recover(log_path) can rebuild state after a
+  /// When non-empty, the WAL is persisted under this path prefix as
+  /// SegmentedLogDevice files `<log_path>.gen<G>.seg<N>` (behind
+  /// log.flush_sink), and Recover(log_path) can rebuild state after a
   /// crash. Ignored if log.flush_sink is already set (tests install
   /// capture/crash sinks there).
   std::string log_path;
-  /// Nonzero: the log at log_path is a SegmentedLogDevice with this
-  /// per-segment payload capacity — rotated fixed-size segment files,
-  /// crash-safe generations, and checkpoint-driven recycling, so log disk
-  /// is bounded by checkpoint cadence. Zero (default): single-file
-  /// FileLogDevice with deferred truncation.
-  uint64_t log_segment_bytes = 0;
+  /// Payload capacity of each log segment file. Must be nonzero when
+  /// log_path is set (the constructor fails stop otherwise).
+  uint64_t log_segment_bytes = 16u << 20;
   /// Nonzero: run a background fuzzy checkpointer at this cadence.
   /// CheckpointNow() works either way.
   uint32_t checkpoint_interval_ms = 0;
@@ -100,17 +98,17 @@ class Database {
   // (rebuild) or warm (in-place restart with stolen dirty state).
   //
   // Restart-in-place is supported: constructing with the SAME log_path as
-  // the crashed run is safe. After replay an OPENING CHECKPOINT is written
-  // and hardened, making the new log self-contained across a second crash.
-  // In segmented mode (log_segment_bytes != 0) the window is fully closed:
-  // the new generation stays tentative — and the old one stays the source
-  // of truth — until the opening checkpoint is durable
-  // (SegmentedLogDevice::MarkGenerationAuthoritative). In single-file mode
-  // a crash *during* the opening checkpoint still loses data (the old file
-  // is overwritten in place); use segments where that matters.
+  // the crashed run is safe. The new process writes a fresh generation of
+  // segments and leaves the old one untouched. After replay an OPENING
+  // CHECKPOINT is written and hardened, making the new log self-contained
+  // across a second crash, and only then is the new generation marked
+  // authoritative (SegmentedLogDevice::MarkGenerationAuthoritative). Until
+  // that mark a later recovery still reads the old generation, so a crash
+  // during recovery loses nothing. A database opened on a log_path that
+  // already holds a log must therefore call Recover before traffic.
 
-  /// Recover from the durable log written via DatabaseOptions::log_path
-  /// (single file or segmented generation, per log_segment_bytes).
+  /// Recover from the durable log written via DatabaseOptions::log_path:
+  /// the newest authoritative generation of segments under `path`.
   Status Recover(const std::string& path, RecoveryReport* report = nullptr);
 
   /// Recover from an already-read durable byte stream (crash-test harness
@@ -200,8 +198,7 @@ class Database {
   // Declared before log_manager_: the shutdown pass drains into the
   // device's sink during LogManager teardown, so the device must be
   // destroyed after.
-  std::unique_ptr<LogDevice> log_device_;
-  SegmentedLogDevice* seg_device_ = nullptr;  ///< log_device_ downcast, or null
+  std::unique_ptr<SegmentedLogDevice> log_device_;
   std::unique_ptr<LogManager> log_manager_;
   std::unique_ptr<LockManager> lock_manager_;
   std::unique_ptr<TransactionManager> txn_manager_;

@@ -93,114 +93,6 @@ bool InMemoryLogDevice::crashed() const {
   return crashed_;
 }
 
-// ---- FileLogDevice ----------------------------------------------------------
-
-Status FileLogDevice::Open(const std::string& path,
-                           uint32_t fsync_every_n_flushes,
-                           std::unique_ptr<FileLogDevice>* out) {
-  const int fd = ::open(path.c_str(), O_CREAT | O_WRONLY, 0644);
-  if (fd < 0) return Status::IoError("open log file: " + path);
-  // Persist the directory entry too: per-flush fsync makes the *bytes*
-  // durable, but a file created with O_CREAT can itself vanish on a host
-  // crash unless its parent directory is synced.
-  (void)SyncParentDir(path);
-  out->reset(new FileLogDevice(fd, path, fsync_every_n_flushes));
-  return Status::OK();
-}
-
-Status FileLogDevice::Poison(const char* what) {
-  poisoned_.store(true, std::memory_order_release);
-  CountEvent(Counter::kLogSyncFailures);
-  return Status::IoError(std::string(what) + ": " + path_);
-}
-
-FileLogDevice::~FileLogDevice() {
-  if (fd_ < 0) return;
-  if (poisoned()) {
-    // The failure was already reported through Append's status (and the
-    // flush_sink adapter aborts on it); nothing left to guarantee here.
-    ::close(fd_);
-    return;
-  }
-  // Coalesced-fsync mode may hold an unsynced tail; a clean shutdown must
-  // not be weaker than the per-flush contract. A destructor has no status
-  // channel, so an UNREPORTED failure here is fail-stop: returning
-  // normally would let the process exit believing data is durable.
-  if (fsync_every_n_ != 0 && flushes_since_sync_ > 0 && MaybeFsync(fd_) != 0) {
-    CountEvent(Counter::kLogSyncFailures);
-    std::fprintf(stderr, "slidb: log tail fsync failed on close (%s)\n",
-                 path_.c_str());
-    std::abort();
-  }
-  if (::close(fd_) != 0) {
-    CountEvent(Counter::kLogSyncFailures);
-    std::fprintf(stderr, "slidb: log close failed (%s)\n", path_.c_str());
-    std::abort();
-  }
-}
-
-Status FileLogDevice::Append(const uint8_t* data, size_t len, Lsn lsn) {
-  if (poisoned()) return Status::IoError("log device poisoned: " + path_);
-  if (!truncated_) {
-    // First write of the new log stream: drop whatever log the file held
-    // (recovery has read it back by now — Recover runs before traffic).
-    if (::ftruncate(fd_, 0) != 0) return Poison("truncate log file");
-    truncated_ = true;
-  }
-  size_t done = 0;
-  while (done < len) {
-    const ssize_t n = ::pwrite(fd_, data + done, len - done,
-                               static_cast<off_t>(lsn + done));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Poison("pwrite log file");
-    }
-    done += static_cast<size_t>(n);
-  }
-  if (fsync_every_n_ != 0 && ++flushes_since_sync_ >= fsync_every_n_) {
-    if (MaybeFsync(fd_) != 0) return Poison("fsync log file");
-    flushes_since_sync_ = 0;
-  }
-  written_.store(std::max(written_.load(std::memory_order_relaxed),
-                          static_cast<uint64_t>(lsn + len)),
-                 std::memory_order_release);
-  return Status::OK();
-}
-
-uint64_t FileLogDevice::DurableBytes() const {
-  return written_.load(std::memory_order_acquire);
-}
-
-Status FileLogDevice::ReadAll(std::vector<uint8_t>* out) const {
-  const Status st = ReadFile(path_, out);
-  if (!st.ok()) return st;
-  // Before the first append the file still holds the PREVIOUS log (see
-  // the deferred-truncation note); this device's stream is only what it
-  // has written itself.
-  if (out->size() > DurableBytes()) out->resize(DurableBytes());
-  return Status::OK();
-}
-
-Status FileLogDevice::ReadFile(const std::string& path,
-                               std::vector<uint8_t>* out) {
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) return Status::IoError("open log file for read: " + path);
-  out->clear();
-  uint8_t buf[1 << 16];
-  for (;;) {
-    const ssize_t n = ::read(fd, buf, sizeof(buf));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      ::close(fd);
-      return Status::IoError("read log file");
-    }
-    if (n == 0) break;
-    out->insert(out->end(), buf, buf + n);
-  }
-  ::close(fd);
-  return Status::OK();
-}
-
 // ---- SegmentedLogDevice -----------------------------------------------------
 
 namespace {
@@ -299,6 +191,26 @@ std::string SegPathFor(const std::string& prefix, uint64_t gen,
   return prefix + buf;
 }
 
+/// Read a whole segment file, header included.
+Status ReadWholeFile(const std::string& path, std::vector<uint8_t>* out) {
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd < 0) return Status::IoError("open segment for read: " + path);
+  out->clear();
+  uint8_t buf[1 << 16];
+  for (;;) {
+    const ssize_t n = ::read(fd, buf, sizeof(buf));
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      ::close(fd);
+      return Status::IoError("read segment: " + path);
+    }
+    if (n == 0) break;
+    out->insert(out->end(), buf, buf + n);
+  }
+  ::close(fd);
+  return Status::OK();
+}
+
 /// The generation a recovery should read: the newest one that is
 /// authoritative — seg0 absent (recycled: authority by construction) or
 /// seg0's tentative flag clear. Returns false when none qualifies.
@@ -328,7 +240,6 @@ bool PickReadGeneration(const std::string& prefix, const SegmentListing& ls,
 }  // namespace
 
 Status SegmentedLogDevice::Open(const std::string& prefix,
-                                uint32_t fsync_every_n_flushes,
                                 uint64_t segment_bytes,
                                 std::unique_ptr<SegmentedLogDevice>* out) {
   if (segment_bytes == 0) {
@@ -337,32 +248,21 @@ Status SegmentedLogDevice::Open(const std::string& prefix,
   SegmentListing ls;
   SLIDB_RETURN_NOT_OK(ListSegments(prefix, &ls));
   auto dev = std::unique_ptr<SegmentedLogDevice>(
-      new SegmentedLogDevice(prefix, fsync_every_n_flushes, segment_bytes));
+      new SegmentedLogDevice(prefix, segment_bytes));
   const uint64_t max_gen = ls.gens.empty() ? 0 : ls.gens.rbegin()->first;
   dev->write_gen_ = ls.gens.empty() ? 0 : max_gen + 1;
-  // A generation that succeeds ANY prior log (segmented or a legacy plain
-  // file at `prefix`) is tentative until the recovered state provably
-  // lives in it (MarkGenerationAuthoritative).
-  dev->tentative_ = !ls.gens.empty() || ::access(prefix.c_str(), F_OK) == 0;
+  // A generation that succeeds ANY prior generation is tentative until the
+  // recovered state provably lives in it (MarkGenerationAuthoritative).
+  dev->tentative_ = !ls.gens.empty();
   *out = std::move(dev);
   return Status::OK();
 }
 
 SegmentedLogDevice::~SegmentedLogDevice() {
   if (cur_fd_ < 0) return;
-  if (poisoned()) {
-    ::close(cur_fd_);
-    return;
-  }
-  // Same fail-stop tail contract as FileLogDevice's destructor.
-  if (fsync_every_n_ != 0 && flushes_since_sync_ > 0 &&
-      MaybeFsync(cur_fd_) != 0) {
-    CountEvent(Counter::kLogSyncFailures);
-    std::fprintf(stderr, "slidb: log tail fsync failed on close (%s)\n",
-                 prefix_.c_str());
-    std::abort();
-  }
-  if (::close(cur_fd_) != 0) {
+  // Every append synced before it returned, so there is no tail to harden
+  // here. A poisoned device already reported its failure through Append.
+  if (::close(cur_fd_) != 0 && !poisoned()) {
     CountEvent(Counter::kLogSyncFailures);
     std::fprintf(stderr, "slidb: log close failed (%s)\n", prefix_.c_str());
     std::abort();
@@ -430,8 +330,8 @@ Status SegmentedLogDevice::OpenSegment(uint64_t seg_no) {
 Status SegmentedLogDevice::PrepareGeneration() {
   // First write of the new generation. Stale generations above the one
   // recovery read (failed recovery attempts) and creation leftovers are
-  // deleted now — the same moment FileLogDevice truncates — so a crash any
-  // time before this point leaves every previous log intact.
+  // deleted now, not at Open, so a crash any time before this point leaves
+  // every previous log intact.
   SegmentListing ls;
   SLIDB_RETURN_NOT_OK(ListSegments(prefix_, &ls));
   uint64_t keep_gen = 0;
@@ -459,10 +359,7 @@ Status SegmentedLogDevice::Append(const uint8_t* data, size_t len, Lsn lsn) {
       // Rotation: the finished segment's bytes are made durable before the
       // next segment opens, so the durable stream can never have a hole a
       // later segment's bytes paper over.
-      if (fsync_every_n_ != 0 && MaybeFsync(cur_fd_) != 0) {
-        return Poison("fsync rotated segment");
-      }
-      flushes_since_sync_ = 0;
+      if (MaybeFsync(cur_fd_) != 0) return Poison("fsync rotated segment");
       SLIDB_RETURN_NOT_OK(OpenSegment(seg));
     }
     const uint64_t seg_off = at % seg_payload_;
@@ -479,10 +376,7 @@ Status SegmentedLogDevice::Append(const uint8_t* data, size_t len, Lsn lsn) {
     }
     done += chunk;
   }
-  if (fsync_every_n_ != 0 && ++flushes_since_sync_ >= fsync_every_n_) {
-    if (MaybeFsync(cur_fd_) != 0) return Poison("fsync segment");
-    flushes_since_sync_ = 0;
-  }
+  if (MaybeFsync(cur_fd_) != 0) return Poison("fsync segment");
   written_.store(std::max(written_.load(std::memory_order_relaxed),
                           static_cast<uint64_t>(lsn + len)),
                  std::memory_order_release);
@@ -511,8 +405,7 @@ Status SegmentedLogDevice::ReadAll(std::vector<uint8_t>* out) const {
   }
   for (uint64_t seg = first_seg; seg * seg_payload_ < end; ++seg) {
     std::vector<uint8_t> file;
-    SLIDB_RETURN_NOT_OK(FileLogDevice::ReadFile(SegPath(write_gen_, seg),
-                                                &file));
+    SLIDB_RETURN_NOT_OK(ReadWholeFile(SegPath(write_gen_, seg), &file));
     if (file.size() < kSegHeaderSize) {
       return Status::Corruption("segment shorter than its header");
     }
@@ -584,8 +477,7 @@ Status SegmentedLogDevice::MarkGenerationAuthoritative() {
   // losing every commit made since.
   if (!prepared_) SLIDB_RETURN_NOT_OK(PrepareGeneration());
   // Flip seg0's tentative flag in place and sync it; only after the flag
-  // is durably clear do the predecessor generations (and a legacy plain
-  // file) stop being needed.
+  // is durably clear do the predecessor generations stop being needed.
   const std::string seg0 = SegPath(write_gen_, 0);
   const int fd = ::open(seg0.c_str(), O_WRONLY);
   if (fd < 0) return Poison("open seg0 for authority mark");
@@ -611,7 +503,6 @@ Status SegmentedLogDevice::MarkGenerationAuthoritative() {
       }
     }
   }
-  (void)::unlink(prefix_.c_str());  // superseded legacy single-file log
   (void)SyncParentDir(prefix_);
   return Status::OK();
 }
@@ -655,7 +546,7 @@ Status SegmentedLogDevice::ReadLog(const std::string& prefix,
       break;  // mixed capacities cannot come from one healthy generation
     }
     std::vector<uint8_t> file;
-    if (!FileLogDevice::ReadFile(path, &file).ok()) break;
+    if (!ReadWholeFile(path, &file).ok()) break;
     const uint64_t have = file.size() > kSegHeaderSize
                               ? std::min<uint64_t>(
                                     file.size() - kSegHeaderSize, seg_payload)

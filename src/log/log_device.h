@@ -1,25 +1,25 @@
 // Log devices: the durable end of the WAL. Log passes — run by whichever
 // thread holds the flush role, one at a time — hand contiguous, LSN-ordered
 // byte ranges to LogOptions::flush_sink; a LogDevice is the object behind
-// that seam that actually persists them. Three implementations:
+// that seam that actually persists them. Two implementations:
 //
-//   * FileLogDevice — a single append-only file (pwrite at the LSN offset +
-//     optional fsync per flush). Survives the process; Database::Recover
-//     reads it back.
-//   * SegmentedLogDevice — fixed-size segment files under a path prefix,
-//     rotated write-new-then-rename with parent-directory fsync, organized
-//     into GENERATIONS (one per process lifetime of the log stream).
-//     Recovery stitches a generation's segments by header metadata, and
-//     completed checkpoints let old segments be recycled (unlinked), so
-//     log storage is bounded by checkpoint cadence instead of history.
+//   * SegmentedLogDevice — the one on-disk device: fixed-size segment files
+//     under a path prefix (DatabaseOptions::log_path), rotated write-new-
+//     then-rename with parent-directory fsync, organized into GENERATIONS
+//     (one per process lifetime of the log stream). Recovery stitches a
+//     generation's segments by header metadata, and completed checkpoints
+//     let old segments be recycled (unlinked), so log storage is bounded by
+//     checkpoint cadence instead of history.
 //   * InMemoryLogDevice — a deterministic byte vector with crash injection
 //     (stop accepting bytes at an arbitrary point, emulating power loss mid
 //     device write). The recovery test harness and benches build on it.
 //
-// Durability contract: flush_sink blocks the pass until the range is
-// durable, and the LogManager advances durable_lsn only after the sink
-// returns — so a committer released by WaitDurable knows its bytes reached
-// the device (or the device lied, which is what the crash tests emulate).
+// Durability contract: Append returns only once its bytes are durable
+// (SegmentedLogDevice fsyncs every append), so flush_sink blocks the pass
+// until the range is durable, and the LogManager advances durable_lsn only
+// after the sink returns — a committer released by WaitDurable knows its
+// bytes reached the device (or the device lied, which is what the crash
+// tests emulate).
 //
 // Fail-stop contract: a REPORTED write/fsync/close failure poisons the
 // device — every later Append fails too, and the flush_sink adapter aborts
@@ -69,9 +69,9 @@ class LogDevice {
   virtual void RecycleBelow(Lsn lsn) { (void)lsn; }
 };
 
-/// Test seam: make the next `count` fsync/fdatasync calls issued by file
-/// log devices report failure (as if the disk died), without touching the
-/// real file. Process-global; pass 0 to disarm. Returns the previous value.
+/// Test seam: make the next `count` fsync calls issued by SegmentedLogDevice
+/// report failure (as if the disk died), without touching the real file.
+/// Process-global; pass 0 to disarm. Returns the previous value.
 int SetLogSyncFailureInjection(int count);
 
 /// Deterministic in-memory device with crash injection. Thread-safe; log
@@ -97,71 +97,15 @@ class InMemoryLogDevice : public LogDevice {
   bool crashed_ = false;
 };
 
-/// Append-only single-file device. Writes land at their LSN offset (the
-/// file is the log stream, byte for byte), fsync'd per flush by default so
-/// the durability contract holds across a host crash, not just a process
-/// exit. `fsync_every_n_flushes` coalesces that cost: 1 = every flush
-/// (default contract), N = every Nth (bytes between syncs survive a process
-/// crash via the page cache but not a host crash — a measured trade-off,
-/// see LogOptions::fsync_every_n_flushes), 0 = never. Any unsynced tail is
-/// still fsync'd on clean shutdown (destructor); if THAT sync fails the
-/// destructor aborts the process — it has no status channel, and returning
-/// normally would silently break the durability contract.
-///
-/// Truncation is deferred to the FIRST append: opening the device does not
-/// destroy an existing log at `path`, so the natural restart-in-place flow
-/// — construct the Database with the same log_path, Recover(log_path),
-/// then serve traffic — reads the old log back before the new log (which
-/// starts with the recovery snapshot, see Database::RecoverFromStream)
-/// overwrites it. Truncating before the first write is required for
-/// correctness: a new log shorter than the old file would otherwise leave
-/// a stale tail of CRC-valid records at their original offsets, which a
-/// later recovery would happily resurrect.
-class FileLogDevice : public LogDevice {
- public:
-  /// Opens (creates if absent) `path` without truncating; see class note.
-  static Status Open(const std::string& path, uint32_t fsync_every_n_flushes,
-                     std::unique_ptr<FileLogDevice>* out);
-  ~FileLogDevice() override;
-
-  FileLogDevice(const FileLogDevice&) = delete;
-  FileLogDevice& operator=(const FileLogDevice&) = delete;
-
-  Status Append(const uint8_t* data, size_t len, Lsn lsn) override;
-  uint64_t DurableBytes() const override;
-  Status ReadAll(std::vector<uint8_t>* out) const override;
-
-  /// True once a reported I/O failure permanently disabled the device.
-  bool poisoned() const { return poisoned_.load(std::memory_order_acquire); }
-
-  /// Read an existing log file (recovery path; does not truncate).
-  static Status ReadFile(const std::string& path, std::vector<uint8_t>* out);
-
- private:
-  FileLogDevice(int fd, std::string path, uint32_t fsync_every_n_flushes)
-      : fd_(fd),
-        path_(std::move(path)),
-        fsync_every_n_(fsync_every_n_flushes) {}
-
-  Status Poison(const char* what);
-
-  int fd_;
-  std::string path_;
-  uint32_t fsync_every_n_;            ///< 0 = never, 1 = every flush
-  uint32_t flushes_since_sync_ = 0;  ///< flush-role holder only (no overlap)
-  bool truncated_ = false;  ///< the flush-role holder only; calls never overlap
-  std::atomic<uint64_t> written_{0};  ///< advanced by the flush-role holder
-  std::atomic<bool> poisoned_{false};
-};
-
 /// Rotating fixed-size segment files: `<prefix>.gen<G>.seg<N>`, each
 /// opening with a 64-byte header naming its generation, segment number,
 /// and payload capacity. Log offset L of generation G lives in segment
-/// L / payload_capacity at file offset 64 + L % payload_capacity.
+/// L / payload_capacity at file offset 64 + L % payload_capacity. Every
+/// Append fsyncs the current segment before it returns, and rotation syncs
+/// the finished segment before the next one opens.
 ///
-/// Generations replace FileLogDevice's deferred truncation: each process
-/// lifetime writes a FRESH generation (highest existing + 1), created
-/// lazily at the first append, so recovery can read the previous
+/// Each process lifetime writes a FRESH generation (highest existing + 1),
+/// created lazily at the first append, so recovery can read the previous
 /// generation's stream before a single new byte lands. A generation that
 /// succeeds an existing one is born TENTATIVE (header flag): until
 /// MarkGenerationAuthoritative() clears the flag — which Database does
@@ -180,9 +124,9 @@ class FileLogDevice : public LogDevice {
 class SegmentedLogDevice : public LogDevice {
  public:
   /// Enumerates existing generations under `prefix` without modifying
-  /// anything. `segment_bytes` is the per-segment PAYLOAD capacity.
-  static Status Open(const std::string& prefix,
-                     uint32_t fsync_every_n_flushes, uint64_t segment_bytes,
+  /// anything. `segment_bytes` is the per-segment PAYLOAD capacity and must
+  /// be nonzero.
+  static Status Open(const std::string& prefix, uint64_t segment_bytes,
                      std::unique_ptr<SegmentedLogDevice>* out);
   ~SegmentedLogDevice() override;
 
@@ -198,8 +142,8 @@ class SegmentedLogDevice : public LogDevice {
   /// Clear the write generation's tentative flag (in seg0's header, synced
   /// in place) and delete every older generation's files. Call exactly when
   /// the new generation is self-contained — its opening checkpoint (or
-  /// snapshot) is durable. No-op if nothing was appended yet or the
-  /// generation was already authoritative.
+  /// snapshot) is durable. No-op if the generation is already
+  /// authoritative; with nothing appended yet it creates seg0 first.
   Status MarkGenerationAuthoritative();
 
   bool poisoned() const { return poisoned_.load(std::memory_order_acquire); }
@@ -214,11 +158,8 @@ class SegmentedLogDevice : public LogDevice {
                         Lsn* base_lsn, uint64_t* generation = nullptr);
 
  private:
-  SegmentedLogDevice(std::string prefix, uint32_t fsync_every_n_flushes,
-                     uint64_t segment_bytes)
-      : prefix_(std::move(prefix)),
-        fsync_every_n_(fsync_every_n_flushes),
-        seg_payload_(segment_bytes) {}
+  SegmentedLogDevice(std::string prefix, uint64_t segment_bytes)
+      : prefix_(std::move(prefix)), seg_payload_(segment_bytes) {}
 
   Status Poison(const char* what);
   /// Create segment `seg_no` of the write generation (write-new-then-
@@ -230,7 +171,6 @@ class SegmentedLogDevice : public LogDevice {
   std::string SegPath(uint64_t gen, uint64_t seg_no) const;
 
   const std::string prefix_;
-  const uint32_t fsync_every_n_;
   const uint64_t seg_payload_;
 
   uint64_t write_gen_ = 0;      ///< generation this device appends to
@@ -238,7 +178,6 @@ class SegmentedLogDevice : public LogDevice {
   bool prepared_ = false;  ///< the flush-role holder only; calls never overlap
   int cur_fd_ = -1;             ///< current write segment
   uint64_t cur_seg_ = 0;
-  uint32_t flushes_since_sync_ = 0;
 
   mutable std::mutex mu_;       ///< guards base_seg_/trim_lsn_ vs recycling
   uint64_t base_seg_ = 0;       ///< lowest retained segment (write gen)

@@ -55,21 +55,13 @@ struct LogOptions {
   /// quantum even when one writer is preempted mid-fill.
   size_t reservation_slots = 0;
 
-  /// fsync cadence for a FileLogDevice attached via DatabaseOptions:
-  /// 1 = every flush (default, the strict host-crash durability contract),
-  /// N = every Nth flush (coalesced fsync — bytes between syncs survive a
-  /// process crash via the page cache but not a host crash; the knob
-  /// exists to measure that cost on a real disk), 0 = never fsync
-  /// (page-cache durability only, trading durability for bench
-  /// throughput). For N >= 1 the device still syncs any unsynced tail on
-  /// clean shutdown.
-  uint32_t fsync_every_n_flushes = 1;
-
   /// Device-write hook: each pass calls it for each contiguous byte range
   /// as the range becomes durable (ring wrap may split one flush into two
-  /// calls; `start_lsn` is the log offset of `data[0]`). Tests use it to
-  /// capture and verify the exact durable byte stream; it also gates
-  /// durability (the durable LSN only advances after the sink returns).
+  /// calls; `start_lsn` is the log offset of `data[0]`). It gates
+  /// durability: the durable LSN only advances after the sink returns.
+  /// DatabaseOptions::log_path installs a SegmentedLogDevice here, whose
+  /// Append syncs the range before it returns; tests install capture and
+  /// crash sinks to verify the exact durable byte stream.
   /// Called by the flush-role holder (a committing agent or the background
   /// flusher) with no internal locks held. Calls never overlap, and each
   /// hand-over of the role is a release/acquire edge.

@@ -1,11 +1,12 @@
 // Durable log device tests: segment rotation and stitching, crash-safe
 // generation hand-off (tentative → authoritative), checkpoint-driven
 // recycling, and the fail-stop fsync contract (a reported sync failure
-// poisons the device; an unreported one in the destructor aborts).
+// poisons the device).
 //
-// Everything here drives the devices DIRECTLY — no Database, no flusher —
+// Everything here drives the device DIRECTLY — no Database, no flusher —
 // so injected fsync failures surface as Status, not as the flush-sink
-// adapter's process abort (that path gets one death test at the bottom).
+// adapter's process abort (recovery_test's RecoveryEngineDeathTest drives
+// that path).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -18,8 +19,8 @@
 namespace slidb {
 namespace {
 
-/// Per-test scratch prefix; removes every segment/tmp/plain file it might
-/// have produced on destruction (best-effort, tests also clean as they go).
+/// Per-test scratch prefix; removes every segment/tmp file it might have
+/// produced on destruction (best-effort, tests also clean as they go).
 struct ScratchLog {
   std::string prefix;
 
@@ -27,7 +28,6 @@ struct ScratchLog {
   ~ScratchLog() { Cleanup(); }
 
   void Cleanup() {
-    std::remove(prefix.c_str());
     for (uint64_t gen = 0; gen < 8; ++gen) {
       for (uint64_t seg = 0; seg < 64; ++seg) {
         char buf[64];
@@ -67,8 +67,7 @@ TEST(SegmentedDeviceTest, RotationSpansSegmentsAndRoundTrips) {
     CounterSet counters;
     ScopedCounterSet routed(&counters);
     std::unique_ptr<SegmentedLogDevice> dev;
-    ASSERT_TRUE(SegmentedLogDevice::Open(fs.prefix, /*fsync=*/1, kSeg, &dev)
-                    .ok());
+    ASSERT_TRUE(SegmentedLogDevice::Open(fs.prefix, kSeg, &dev).ok());
     // Append in odd-sized chunks so writes straddle segment boundaries.
     size_t done = 0;
     while (done < data.size()) {
@@ -99,7 +98,7 @@ TEST(SegmentedDeviceTest, RecycleBelowUnlinksWholeSegmentsAndShiftsBase) {
   constexpr uint64_t kSeg = 128;
   const std::vector<uint8_t> data = Pattern(4 * kSeg, 11);
   std::unique_ptr<SegmentedLogDevice> dev;
-  ASSERT_TRUE(SegmentedLogDevice::Open(fs.prefix, 1, kSeg, &dev).ok());
+  ASSERT_TRUE(SegmentedLogDevice::Open(fs.prefix, kSeg, &dev).ok());
   ASSERT_TRUE(dev->Append(data.data(), data.size(), 0).ok());
 
   CounterSet counters;
@@ -135,13 +134,13 @@ TEST(SegmentedDeviceTest, TentativeGenerationFallsBackUntilAuthoritative) {
   const std::vector<uint8_t> old_data = Pattern(100, 21);
   {  // Generation 0: the established log.
     std::unique_ptr<SegmentedLogDevice> dev;
-    ASSERT_TRUE(SegmentedLogDevice::Open(fs.prefix, 1, kSeg, &dev).ok());
+    ASSERT_TRUE(SegmentedLogDevice::Open(fs.prefix, kSeg, &dev).ok());
     ASSERT_TRUE(dev->Append(old_data.data(), old_data.size(), 0).ok());
   }
   const std::vector<uint8_t> new_data = Pattern(60, 42);
   {  // Generation 1 appends but crashes before the authority mark.
     std::unique_ptr<SegmentedLogDevice> dev;
-    ASSERT_TRUE(SegmentedLogDevice::Open(fs.prefix, 1, kSeg, &dev).ok());
+    ASSERT_TRUE(SegmentedLogDevice::Open(fs.prefix, kSeg, &dev).ok());
     EXPECT_EQ(dev->write_generation(), 1u);
     ASSERT_TRUE(dev->Append(new_data.data(), new_data.size(), 0).ok());
     // Recycling is refused while tentative: the old generation is still
@@ -160,7 +159,7 @@ TEST(SegmentedDeviceTest, TentativeGenerationFallsBackUntilAuthoritative) {
   }
   {  // Generation 2 completes the hand-off: append, then mark.
     std::unique_ptr<SegmentedLogDevice> dev;
-    ASSERT_TRUE(SegmentedLogDevice::Open(fs.prefix, 1, kSeg, &dev).ok());
+    ASSERT_TRUE(SegmentedLogDevice::Open(fs.prefix, kSeg, &dev).ok());
     EXPECT_EQ(dev->write_generation(), 2u);
     ASSERT_TRUE(dev->Append(new_data.data(), new_data.size(), 0).ok());
     ASSERT_TRUE(dev->MarkGenerationAuthoritative().ok());
@@ -186,14 +185,14 @@ TEST(SegmentedDeviceTest, AuthorityMarkWithoutAppendsMaterializesGeneration) {
   constexpr uint64_t kSeg = 256;
   {  // Predecessor generation exists but holds zero payload bytes.
     std::unique_ptr<SegmentedLogDevice> dev;
-    ASSERT_TRUE(SegmentedLogDevice::Open(fs.prefix, 1, kSeg, &dev).ok());
+    ASSERT_TRUE(SegmentedLogDevice::Open(fs.prefix, kSeg, &dev).ok());
     const uint8_t byte = 0;
     ASSERT_TRUE(dev->Append(&byte, 0, 0).ok());  // forces seg0 creation
   }
   const std::vector<uint8_t> data = Pattern(50, 77);
   {
     std::unique_ptr<SegmentedLogDevice> dev;
-    ASSERT_TRUE(SegmentedLogDevice::Open(fs.prefix, 1, kSeg, &dev).ok());
+    ASSERT_TRUE(SegmentedLogDevice::Open(fs.prefix, kSeg, &dev).ok());
     ASSERT_TRUE(dev->MarkGenerationAuthoritative().ok());
     ASSERT_TRUE(dev->Append(data.data(), data.size(), 0).ok());
   }
@@ -206,33 +205,12 @@ TEST(SegmentedDeviceTest, AuthorityMarkWithoutAppendsMaterializesGeneration) {
   EXPECT_EQ(stream, data);
 }
 
-TEST(SegmentedDeviceTest, SupersedesLegacySingleFileLog) {
-  // Upgrading a deployment from FileLogDevice to segments: the old plain
-  // file makes the new generation tentative, and the authority mark
-  // removes it.
-  ScratchLog fs("slidb_segdev_legacy.log");
-  {
-    std::unique_ptr<FileLogDevice> legacy;
-    ASSERT_TRUE(FileLogDevice::Open(fs.prefix, 1, &legacy).ok());
-    const std::vector<uint8_t> bytes = Pattern(40, 5);
-    ASSERT_TRUE(legacy->Append(bytes.data(), bytes.size(), 0).ok());
-  }
-  std::unique_ptr<SegmentedLogDevice> dev;
-  ASSERT_TRUE(SegmentedLogDevice::Open(fs.prefix, 1, 256, &dev).ok());
-  const std::vector<uint8_t> data = Pattern(32, 9);
-  ASSERT_TRUE(dev->Append(data.data(), data.size(), 0).ok());
-  ASSERT_TRUE(dev->MarkGenerationAuthoritative().ok());
-  FILE* f = std::fopen(fs.prefix.c_str(), "rb");
-  EXPECT_EQ(f, nullptr) << "legacy log should be unlinked";
-  if (f != nullptr) std::fclose(f);
-}
-
 // ---- fail-stop on fsync failure ---------------------------------------------
 
-TEST(FailStopTest, FileDeviceFsyncFailurePoisonsAndReportsError) {
-  ScratchLog fs("slidb_failstop_file.log");
-  std::unique_ptr<FileLogDevice> dev;
-  ASSERT_TRUE(FileLogDevice::Open(fs.prefix, /*fsync_every_n=*/1, &dev).ok());
+TEST(FailStopTest, SegmentedDeviceFsyncFailurePoisonsAndReportsError) {
+  ScratchLog fs("slidb_failstop_seg.log");
+  std::unique_ptr<SegmentedLogDevice> dev;
+  ASSERT_TRUE(SegmentedLogDevice::Open(fs.prefix, 256, &dev).ok());
   const std::vector<uint8_t> data = Pattern(64, 1);
   ASSERT_TRUE(dev->Append(data.data(), data.size(), 0).ok());
   EXPECT_EQ(dev->DurableBytes(), 64u);
@@ -250,41 +228,6 @@ TEST(FailStopTest, FileDeviceFsyncFailurePoisonsAndReportsError) {
   EXPECT_EQ(counters.Get(Counter::kLogSyncFailures), 1u);
   // Poison is sticky: the device never accepts another byte.
   EXPECT_TRUE(dev->Append(data.data(), data.size(), 128).IsIoError());
-}
-
-TEST(FailStopTest, SegmentedDeviceFsyncFailurePoisonsAndReportsError) {
-  ScratchLog fs("slidb_failstop_seg.log");
-  std::unique_ptr<SegmentedLogDevice> dev;
-  ASSERT_TRUE(SegmentedLogDevice::Open(fs.prefix, 1, 256, &dev).ok());
-  const std::vector<uint8_t> data = Pattern(64, 1);
-  ASSERT_TRUE(dev->Append(data.data(), data.size(), 0).ok());
-
-  SetLogSyncFailureInjection(1);
-  const Status st = dev->Append(data.data(), data.size(), 64);
-  SetLogSyncFailureInjection(0);
-  EXPECT_TRUE(st.IsIoError());
-  EXPECT_TRUE(dev->poisoned());
-  EXPECT_EQ(dev->DurableBytes(), 64u);
-  EXPECT_TRUE(dev->Append(data.data(), data.size(), 128).IsIoError());
-}
-
-TEST(FailStopDeathTest, DestructorTailSyncFailureAborts) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  // Coalesced-fsync mode holds an unsynced tail at destruction. The
-  // destructor has no status channel, so an UNREPORTED failure there must
-  // abort rather than let the process exit believing the tail is durable.
-  ScratchLog fs("slidb_failstop_dtor.log");
-  std::unique_ptr<FileLogDevice> dev;
-  ASSERT_TRUE(FileLogDevice::Open(fs.prefix, /*fsync_every_n=*/8, &dev).ok());
-  const std::vector<uint8_t> data = Pattern(32, 2);
-  ASSERT_TRUE(dev->Append(data.data(), data.size(), 0).ok());  // tail unsynced
-  EXPECT_DEATH(
-      {
-        SetLogSyncFailureInjection(1);
-        dev.reset();
-      },
-      "log tail fsync failed");
-  SetLogSyncFailureInjection(0);  // parent process: leave the seam disarmed
 }
 
 }  // namespace

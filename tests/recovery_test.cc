@@ -123,6 +123,21 @@ struct ShadowState {
   bool operator==(const ShadowState&) const = default;
 };
 
+/// Remove the segment files a log at `prefix` may hold (generations 0-7,
+/// segments 0-63, plus creation leftovers).
+void RemoveSegmentFiles(const std::string& prefix) {
+  for (uint64_t gen = 0; gen < 8; ++gen) {
+    for (uint64_t seg = 0; seg < 64; ++seg) {
+      char buf[64];
+      std::snprintf(buf, sizeof(buf), ".gen%llu.seg%llu",
+                    static_cast<unsigned long long>(gen),
+                    static_cast<unsigned long long>(seg));
+      std::remove((prefix + buf).c_str());
+      std::remove((prefix + buf + ".tmp").c_str());
+    }
+  }
+}
+
 // ---- CRC32C and wire format -------------------------------------------------
 
 TEST(Crc32cTest, KnownVectorsAndComposition) {
@@ -233,61 +248,6 @@ TEST(LogDeviceTest, InMemoryTornWriteInjection) {
   std::vector<uint8_t> back;
   ASSERT_TRUE(dev.ReadAll(&back).ok());
   EXPECT_EQ(back.size(), 140u);
-}
-
-TEST(LogDeviceTest, FileDeviceRoundTrip) {
-  const std::string path = "slidb_file_device_test.log";
-  {
-    std::unique_ptr<FileLogDevice> dev;
-    ASSERT_TRUE(FileLogDevice::Open(path, /*fsync_every_n_flushes=*/1, &dev)
-                    .ok());
-    std::vector<uint8_t> a(64), b(32);
-    for (size_t i = 0; i < a.size(); ++i) a[i] = static_cast<uint8_t>(i);
-    for (size_t i = 0; i < b.size(); ++i) b[i] = static_cast<uint8_t>(200 + i);
-    ASSERT_TRUE(dev->Append(a.data(), a.size(), 0).ok());
-    ASSERT_TRUE(dev->Append(b.data(), b.size(), 64).ok());
-    EXPECT_EQ(dev->DurableBytes(), 96u);
-    std::vector<uint8_t> back;
-    ASSERT_TRUE(dev->ReadAll(&back).ok());
-    ASSERT_EQ(back.size(), 96u);
-    EXPECT_EQ(back[0], 0u);
-    EXPECT_EQ(back[64], 200u);
-  }
-  std::vector<uint8_t> reread;
-  ASSERT_TRUE(FileLogDevice::ReadFile(path, &reread).ok());
-  EXPECT_EQ(reread.size(), 96u);
-  std::remove(path.c_str());
-}
-
-TEST(LogDeviceTest, FileDeviceCoalescedFsyncRoundTrip) {
-  // fsync_every_n_flushes = 3: flushes 3 and 6 sync, 7 leaves an unsynced
-  // tail that the destructor (clean shutdown) must still harden. The byte
-  // stream and DurableBytes accounting are identical to per-flush fsync.
-  const std::string path = "slidb_file_device_coalesce.log";
-  constexpr size_t kChunk = 48;
-  {
-    std::unique_ptr<FileLogDevice> dev;
-    ASSERT_TRUE(FileLogDevice::Open(path, /*fsync_every_n_flushes=*/3, &dev)
-                    .ok());
-    std::vector<uint8_t> chunk(kChunk);
-    Lsn lsn = 0;
-    for (int i = 0; i < 7; ++i) {
-      for (size_t b = 0; b < kChunk; ++b) {
-        chunk[b] = static_cast<uint8_t>(i * 31 + b);
-      }
-      ASSERT_TRUE(dev->Append(chunk.data(), chunk.size(), lsn).ok());
-      lsn += chunk.size();
-    }
-    EXPECT_EQ(dev->DurableBytes(), 7 * kChunk);
-    std::vector<uint8_t> back;
-    ASSERT_TRUE(dev->ReadAll(&back).ok());
-    ASSERT_EQ(back.size(), 7 * kChunk);
-    EXPECT_EQ(back[6 * kChunk], static_cast<uint8_t>(6 * 31));
-  }
-  std::vector<uint8_t> reread;
-  ASSERT_TRUE(FileLogDevice::ReadFile(path, &reread).ok());
-  EXPECT_EQ(reread.size(), 7 * kChunk);
-  std::remove(path.c_str());
 }
 
 // ---- recovery scan ----------------------------------------------------------
@@ -754,6 +714,7 @@ TEST(RecoveryFuzzTest, RandomHistoryCrashAtRandomFlushMatchesShadow) {
 
 TEST(RecoveryEngineTest, FileBackedDatabaseRecoversAndResumes) {
   const std::string path = "slidb_recovery_e2e.log";
+  RemoveSegmentFiles(path);
   Rid r1, r2;
   uint64_t committed_txns = 0;
   {
@@ -780,7 +741,7 @@ TEST(RecoveryEngineTest, FileBackedDatabaseRecoversAndResumes) {
     ASSERT_TRUE(db.IndexInsert(agent.get(), idx, 20, r2.ToU64()).ok());
     ASSERT_TRUE(db.Commit(agent.get()).ok());
     ++committed_txns;
-  }  // clean shutdown: all records durable in the file
+  }  // clean shutdown: all records durable in the segment files
 
   DatabaseOptions o = TestOptions();
   Database db(o);
@@ -810,16 +771,17 @@ TEST(RecoveryEngineTest, FileBackedDatabaseRecoversAndResumes) {
   Rid r3;
   ASSERT_TRUE(db.Insert(agent.get(), t, Bytes("post-rec"), &r3).ok());
   ASSERT_TRUE(db.Commit(agent.get()).ok());
-  std::remove(path.c_str());
+  RemoveSegmentFiles(path);
 }
 
 TEST(RecoveryEngineTest, RestartInPlaceSurvivesASecondCrash) {
   // The operator's natural restart flow: reuse the SAME log_path for the
-  // recovered database. The device must not clobber the old log before
-  // Recover() reads it (truncation is deferred to the first append), and
-  // recovery must anchor the new log with an opening checkpoint — otherwise
-  // a second crash would lose everything from before the first one.
+  // recovered database. The restart writes a new generation of segments,
+  // so the old log is intact when Recover() reads it, and recovery must
+  // anchor the new generation with an opening checkpoint — otherwise a
+  // second crash would lose everything from before the first one.
   const std::string path = "slidb_restart_in_place.log";
+  RemoveSegmentFiles(path);
   Rid r1;
   {  // generation 1: one committed row, then "crash" (teardown).
     DatabaseOptions o = TestOptions();
@@ -867,7 +829,68 @@ TEST(RecoveryEngineTest, RestartInPlaceSurvivesASecondCrash) {
     EXPECT_EQ(std::memcmp(buf, "gen-two!", 8), 0);
     ASSERT_TRUE(db.Commit(agent.get()).ok());
   }
-  std::remove(path.c_str());
+  RemoveSegmentFiles(path);
+}
+
+TEST(RecoveryEngineDeathTest, RestartWhoseFirstLogWriteFailsKeepsEveryCommit) {
+  // A restart that dies before its opening checkpoint is durable must not
+  // cost the previous run a single commit. The 4 KiB ring is smaller than
+  // the opening checkpoint's images, so a log pass writes the new log in
+  // the middle of the checkpoint, and the injected sync failure kills the
+  // process at that first device write. The new generation is still
+  // tentative then, so the next restart reads the old one in full.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const std::string path = "slidb_restart_first_write_fails.log";
+  constexpr uint64_t kRows = 200;
+  DatabaseOptions o = TestOptions();
+  o.log_path = path;
+  o.log.buffer_bytes = 4096;
+  // The death-test child re-runs this body from the top, so it rebuilds
+  // the same run-1 log before the restart that dies.
+  RemoveSegmentFiles(path);
+  RowMap committed;
+  {  // Run 1: one committed row per transaction, then a clean shutdown.
+    Database db(o);
+    const TableId t = db.CreateTable("t");
+    auto agent = db.CreateAgent();
+    for (uint64_t i = 0; i < kRows; ++i) {
+      const std::string row = "row-" + std::to_string(i) + "-padding-bytes";
+      Rid rid;
+      db.Begin(agent.get());
+      ASSERT_TRUE(db.Insert(agent.get(), t, Bytes(row), &rid).ok());
+      ASSERT_TRUE(db.Commit(agent.get()).ok());
+      committed[rid.ToU64()] = row;
+    }
+  }
+  EXPECT_DEATH(
+      {
+        Database db(o);
+        db.CreateTable("t");
+        SetLogSyncFailureInjection(1);
+        (void)db.Recover(path);
+      },
+      "log device write failed");
+  {  // Run 3: restart in place once more; run 1's commits are all there.
+    Database db(o);
+    const TableId t = db.CreateTable("t");
+    RecoveryReport report;
+    ASSERT_TRUE(db.Recover(path, &report).ok());
+    EXPECT_EQ(report.committed_txns, kRows);
+    const RowMap rows = DumpHeap(db.catalog(), t);
+    EXPECT_EQ(rows.size(), committed.size());
+    EXPECT_EQ(rows, committed);
+  }
+  RemoveSegmentFiles(path);
+}
+
+TEST(RecoveryEngineDeathTest, LogPathWithZeroSegmentBytesFailsStopAtOpen) {
+  // A durable log was asked for, so a capacity the device cannot use is
+  // fatal at construction rather than a silent switch to no log at all.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  DatabaseOptions o = TestOptions();
+  o.log_path = "slidb_zero_segment_bytes.log";
+  o.log_segment_bytes = 0;
+  EXPECT_DEATH({ Database db(o); }, "cannot open log device");
 }
 
 TEST(RecoveryEngineTest, HashIndexEntriesReplay) {
@@ -1564,20 +1587,6 @@ TEST(CheckpointSweepTest, ActiveTxnTableWidensRedoAcrossEveryCut) {
 
 // ---- segmented log: sweep across segment boundaries -------------------------
 
-void RemoveSegmentFiles(const std::string& prefix) {
-  std::remove(prefix.c_str());
-  for (uint64_t gen = 0; gen < 8; ++gen) {
-    for (uint64_t seg = 0; seg < 64; ++seg) {
-      char buf[64];
-      std::snprintf(buf, sizeof(buf), ".gen%llu.seg%llu",
-                    static_cast<unsigned long long>(gen),
-                    static_cast<unsigned long long>(seg));
-      std::remove((prefix + buf).c_str());
-      std::remove((prefix + buf + ".tmp").c_str());
-    }
-  }
-}
-
 TEST(SegmentedSweepTest, TruncationAtEveryByteAcrossSegmentBoundaries) {
   // The same acceptance sweep over a stream written through a REAL
   // SegmentedLogDevice with tiny segments: the stitched stream spans
@@ -1750,9 +1759,7 @@ void AgentsWriteTheDeviceAndRecover(const DatabaseOptions& o) {
     for (auto& th : workers) th.join();
   }  // clean shutdown
 
-  DatabaseOptions ro = TestOptions();
-  ro.log_segment_bytes = o.log_segment_bytes;
-  Database db(ro);
+  Database db(TestOptions());
   const TableId t = db.CreateTable("accounts");
   RecoveryReport report;
   ASSERT_TRUE(db.Recover(o.log_path, &report).ok());
@@ -1768,14 +1775,6 @@ void AgentsWriteTheDeviceAndRecover(const DatabaseOptions& o) {
     total += bal;
   }
   EXPECT_EQ(total, kAccounts * kInitialBalance);
-}
-
-TEST(AgentsWriteTheDeviceTest, FileLogDeviceUnderConcurrentLeaders) {
-  DatabaseOptions o = TestOptions();
-  o.log_path = "slidb_agents_device.log";
-  std::remove(o.log_path.c_str());
-  AgentsWriteTheDeviceAndRecover(o);
-  std::remove(o.log_path.c_str());
 }
 
 TEST(AgentsWriteTheDeviceTest, SegmentsRotateUnderConcurrentLeaders) {
