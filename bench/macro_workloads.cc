@@ -85,6 +85,7 @@ LogAppendSample RunLogAppend(const char* label, int threads,
                           payload_bytes);
           }
           log.AppendBatch(&staging);
+          staging.Clear();
           n += batch_records;
         }
       }

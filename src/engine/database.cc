@@ -27,7 +27,7 @@ Database::Database(DatabaseOptions options) : options_(std::move(options)) {
   log_manager_ = std::make_unique<LogManager>(options_.log);
   lock_manager_ = std::make_unique<LockManager>(options_.lock);
   txn_manager_ = std::make_unique<TransactionManager>(
-      lock_manager_.get(), log_manager_.get(), options_.txn);
+      lock_manager_.get(), log_manager_.get(), &catalog_, options_.txn);
   checkpointer_ = std::make_unique<Checkpointer>(
       this, CheckpointerOptions{options_.checkpoint_interval_ms});
   checkpointer_->Start();
@@ -121,6 +121,17 @@ std::unique_ptr<AgentContext> Database::CreateAgent(uint64_t seed) {
 }
 
 Transaction* Database::Begin(AgentContext* agent) {
+  if (log_device_ != nullptr && log_device_->tentative()) {
+    // The device writes a generation that succeeds an existing log, and a
+    // later Recover reads the older one until Recover marks this one
+    // authoritative: a commit made now would be acknowledged and then
+    // lost. Fail stop instead.
+    std::fprintf(stderr,
+                 "slidb: %s already holds a log; call Recover before the "
+                 "first transaction\n",
+                 options_.log_path.c_str());
+    std::abort();
+  }
   return txn_manager_->Begin(agent);
 }
 
@@ -172,8 +183,6 @@ Status Database::Insert(AgentContext* agent, TableId table,
   }
   txn_manager_->LogHeapOp(agent, LogRecordType::kInsert, table, *rid,
                           /*before=*/{}, rec);
-  const Rid undo_rid = *rid;
-  agent->txn().AddUndo([heap, undo_rid] { heap->Delete(undo_rid); });
   return Status::OK();
 }
 
@@ -193,18 +202,14 @@ Status Database::Update(AgentContext* agent, TableId table, Rid rid,
                         std::span<const uint8_t> rec) {
   SLIDB_RETURN_NOT_OK(LockRow(agent, table, rid, LockMode::kX));
   HeapFile* heap = catalog_.table(table).heap.get();
-  // Capture the before-image: it feeds the in-memory undo lambda AND rides
-  // the redo record, so the restart undo pass can roll a loser back.
+  // Capture the before-image: it rides the redo record, from which an
+  // abort (or the restart undo pass, for a loser) restores the row.
   std::string before;
   SLIDB_RETURN_NOT_OK(heap->Read(rid, &before));
   SLIDB_RETURN_NOT_OK(heap->Update(rid, rec));
   txn_manager_->LogHeapOp(
       agent, LogRecordType::kUpdate, table, rid,
       {reinterpret_cast<const uint8_t*>(before.data()), before.size()}, rec);
-  agent->txn().AddUndo([heap, rid, before = std::move(before)] {
-    heap->Update(rid, {reinterpret_cast<const uint8_t*>(before.data()),
-                       before.size()});
-  });
   return Status::OK();
 }
 
@@ -218,20 +223,6 @@ Status Database::Delete(AgentContext* agent, TableId table, Rid rid) {
       agent, LogRecordType::kDelete, table, rid,
       {reinterpret_cast<const uint8_t*>(before.data()), before.size()},
       /*image=*/{});
-  agent->txn().AddUndo([this, table, rid, before = std::move(before)] {
-    // Restore at the same RID so surviving index entries stay valid.
-    HeapFile* h = catalog_.table(table).heap.get();
-    PageGuard guard;
-    if (buffer_pool_
-            ->FixPage(PageId{h->file_id(), rid.page_no}, /*exclusive=*/true,
-                      &guard)
-            .ok()) {
-      SlottedPage::InsertAt(
-          guard.page(), rid.slot,
-          {reinterpret_cast<const uint8_t*>(before.data()), before.size()});
-      guard.MarkDirty();
-    }
-  });
   return Status::OK();
 }
 
@@ -266,14 +257,6 @@ Status Database::IndexInsert(AgentContext* agent, IndexId index, uint64_t key,
   }
   txn_manager_->LogIndexOp(agent, LogRecordType::kIndexInsert, index, key,
                            value);
-  IndexInfo* pinfo = &info;
-  agent->txn().AddUndo([pinfo, key, value] {
-    if (pinfo->kind == IndexKind::kBTree) {
-      pinfo->btree->Remove(key, value);
-    } else {
-      pinfo->hash->Remove(key, value);
-    }
-  });
   return Status::OK();
 }
 
@@ -286,14 +269,6 @@ Status Database::IndexRemove(AgentContext* agent, IndexId index, uint64_t key,
   if (!st.ok()) return st;
   txn_manager_->LogIndexOp(agent, LogRecordType::kIndexRemove, index, key,
                            value);
-  IndexInfo* pinfo = &info;
-  agent->txn().AddUndo([pinfo, key, value] {
-    if (pinfo->kind == IndexKind::kBTree) {
-      pinfo->btree->Insert(key, value);
-    } else {
-      pinfo->hash->Insert(key, value);
-    }
-  });
   return Status::OK();
 }
 

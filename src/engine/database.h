@@ -105,7 +105,8 @@ class Database {
   // authoritative (SegmentedLogDevice::MarkGenerationAuthoritative). Until
   // that mark a later recovery still reads the old generation, so a crash
   // during recovery loses nothing. A database opened on a log_path that
-  // already holds a log must therefore call Recover before traffic.
+  // already holds a log must therefore call Recover before traffic:
+  // Begin fails stop until it has (a fresh log_path needs no Recover).
 
   /// Recover from the durable log written via DatabaseOptions::log_path:
   /// the newest authoritative generation of segments under `path`.

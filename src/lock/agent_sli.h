@@ -29,7 +29,6 @@ class AgentSliState {
   void set_lock_manager(LockManager* lm) { lock_manager_ = lm; }
 
   uint32_t agent_id() const { return agent_id_; }
-  void set_agent_id(uint32_t id) { agent_id_ = id; }
 
   RequestPool& pool() { return pool_; }
 

@@ -84,18 +84,6 @@ LockHead* LockTable::FindOrCreate(const LockId& id) {
   return h;
 }
 
-LockHead* LockTable::Find(const LockId& id) {
-  Bucket& bucket = BucketFor(id);
-  SpinLatchGuard g(bucket.latch);
-  for (LockHead* h = bucket.chain; h != nullptr; h = h->bucket_next) {
-    if (h->id == id) {
-      h->pin_count.fetch_add(1, std::memory_order_acq_rel);
-      return h;
-    }
-  }
-  return nullptr;
-}
-
 void LockTable::TryReclaim(const LockId& id) {
   Bucket& bucket = BucketFor(id);
   SpinLatchGuard g(bucket.latch);

@@ -27,9 +27,6 @@ class LockTable {
   /// the pin to an enqueued request).
   LockHead* FindOrCreate(const LockId& id);
 
-  /// Find without creating; returns nullptr (and takes no pin) if absent.
-  LockHead* Find(const LockId& id);
-
   void Unpin(LockHead* head) {
     head->pin_count.fetch_sub(1, std::memory_order_acq_rel);
   }

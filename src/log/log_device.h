@@ -147,6 +147,9 @@ class SegmentedLogDevice : public LogDevice {
   Status MarkGenerationAuthoritative();
 
   bool poisoned() const { return poisoned_.load(std::memory_order_acquire); }
+  /// True while the write generation succeeds an existing log and has not
+  /// been marked authoritative: a later recovery would not read it.
+  bool tentative() const { return tentative_.load(std::memory_order_acquire); }
   uint64_t write_generation() const { return write_gen_; }
 
   /// Read the newest authoritative generation's stitched stream (for
@@ -174,7 +177,7 @@ class SegmentedLogDevice : public LogDevice {
   const uint64_t seg_payload_;
 
   uint64_t write_gen_ = 0;      ///< generation this device appends to
-  bool tentative_ = false;      ///< write gen succeeds an existing one
+  std::atomic<bool> tentative_{false};  ///< see tentative()
   bool prepared_ = false;  ///< the flush-role holder only; calls never overlap
   int cur_fd_ = -1;             ///< current write segment
   uint64_t cur_seg_ = 0;

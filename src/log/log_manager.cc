@@ -170,7 +170,7 @@ void LogManager::PlanBatchSegments(LogStagingBuffer* staging) const {
                              : static_cast<uint32_t>(staging->buf_.size());
     return end - staging->offsets_[i];
   };
-  size_t i = 0;
+  size_t i = staging->published_;
   while (i < n) {
     const uint32_t len = rec_len(i);
     // Extend a run of consecutive small records; a run of >= 2 is worth an
@@ -261,7 +261,7 @@ Lsn LogManager::PublishChunk(LogStagingBuffer* staging,
 
 Lsn LogManager::AppendBatch(LogStagingBuffer* staging) {
   ScopedComponent comp(Component::kLog);
-  if (staging->empty()) return appended_lsn();
+  if (staging->unpublished_bytes() == 0) return appended_lsn();
   PlanBatchSegments(staging);
   const std::vector<LogBatchSegment>& segs = staging->seg_scratch_;
   const size_t cap = options_.buffer_bytes;
@@ -296,7 +296,7 @@ Lsn LogManager::AppendBatch(LogStagingBuffer* staging) {
   }
   CountEvent(Counter::kLogBatchRecords, batch_records);
   CountEvent(Counter::kLogBatchBytes, batch_bytes);
-  staging->Clear();
+  staging->published_ = staging->offsets_.size();
   return end;
 }
 

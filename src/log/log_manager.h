@@ -90,15 +90,17 @@ class LogManager {
   Lsn Append(uint64_t txn_id, LogRecordType type, const void* payload,
              uint32_t payload_len);
 
-  /// Publish every record staged in `staging` and drain it; returns the
-  /// batch's end LSN (the end of its last record). The whole batch costs
-  /// ONE ticket fetch-add and one publish-slot handoff (it may split into
-  /// a few reservations only when it exceeds half the ring), with each
-  /// record's seal — lsn patch + CRC — folded into the ring copy loop.
+  /// Publish every record staged in `staging` since the previous call;
+  /// returns the batch's end LSN (the end of its last record). The buffer
+  /// keeps the records (a transaction's undo log) until its owner clears
+  /// it. The whole batch costs ONE ticket fetch-add and one publish-slot
+  /// handoff (it may split into a few reservations only when it exceeds
+  /// half the ring), with each record's seal — lsn patch + CRC — folded
+  /// into the ring copy loop.
   /// Runs of >= 2 consecutive records of at most kBatchSealMaxRecordBytes
   /// on the wire are wrapped in kBatchSeal envelopes: one CRC seals the
   /// whole run instead of one per record. Record order within the
-  /// batch is preserved; an empty staging buffer publishes nothing and
+  /// batch is preserved; with nothing new staged it publishes nothing and
   /// returns appended_lsn().
   Lsn AppendBatch(LogStagingBuffer* staging);
 

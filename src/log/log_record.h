@@ -64,26 +64,6 @@ enum class LogRecordType : uint8_t {
          ///< (ClrPayload + the inner redo payload); never itself undone
 };
 
-inline const char* LogRecordTypeName(LogRecordType t) {
-  switch (t) {
-    case LogRecordType::kUpdate: return "update";
-    case LogRecordType::kInsert: return "insert";
-    case LogRecordType::kDelete: return "delete";
-    case LogRecordType::kCommit: return "commit";
-    case LogRecordType::kAbort: return "abort";
-    case LogRecordType::kBegin: return "begin";
-    case LogRecordType::kIndexInsert: return "index_insert";
-    case LogRecordType::kIndexRemove: return "index_remove";
-    case LogRecordType::kBatchSeal: return "batch_seal";
-    case LogRecordType::kCheckpointBegin: return "checkpoint_begin";
-    case LogRecordType::kCheckpointEnd: return "checkpoint_end";
-    case LogRecordType::kCheckpointImage: return "checkpoint_image";
-    case LogRecordType::kCheckpointIndexImage: return "checkpoint_index_image";
-    case LogRecordType::kClr: return "clr";
-  }
-  return "?";
-}
-
 /// Version 2: heap redo payloads grew a before-image (undo information) and
 /// the checkpoint/CLR record types joined the format. Version-1 streams are
 /// rejected by scan — the format is in-tree only, no migration path needed.

@@ -1,12 +1,18 @@
 // Transaction-private log staging: records accumulate here in wire format
 // (headers unsealed — lsn and crc zero) instead of paying a ring
-// reservation each. LogManager::AppendBatch publishes the whole buffer
-// under ONE reservation fetch-add and one publish-slot handoff, sealing
-// every record (lsn patch + CRC) inside the ring copy loop and wrapping
-// runs of small records in kBatchSeal envelopes (log_record.h).
+// reservation each. LogManager::AppendBatch publishes the records staged
+// since its previous call under ONE reservation fetch-add and one
+// publish-slot handoff, sealing every record (lsn patch + CRC) inside the
+// ring copy loop and wrapping runs of small records in kBatchSeal
+// envelopes (log_record.h).
+//
+// The buffer keeps every record, published or not, until Clear(): a
+// transaction's buffer is its undo log, walked newest first on abort
+// (TransactionManager::Abort). A buffer reused across publishes outside a
+// transaction must Clear() after each one, or it grows for the whole run.
 //
 // Single-owner: a staging buffer belongs to one transaction/thread at a
-// time; no synchronization. AppendBatch drains it.
+// time; no synchronization.
 #pragma once
 
 #include <cstdint>
@@ -63,22 +69,42 @@ class LogStagingBuffer {
     }
   }
 
-  size_t bytes() const { return buf_.size(); }
   size_t records() const { return offsets_.size(); }
-  bool empty() const { return offsets_.empty(); }
 
-  /// Drop all staged records (abort-before-publish; also how AppendBatch
-  /// resets the buffer after publishing). Keeps capacity for reuse.
+  /// Bytes staged since the last publish: what the next AppendBatch sends.
+  size_t unpublished_bytes() const {
+    return published_ == offsets_.size() ? 0
+                                         : buf_.size() - offsets_[published_];
+  }
+  /// True once an AppendBatch published any of the retained records.
+  bool published_any() const { return published_ != 0; }
+
+  /// Visit every retained record, newest first: fn(header, payload). The
+  /// payload pointer is unaligned and valid until the next Stage/Clear.
+  template <typename Fn>
+  void ForEachNewestFirst(Fn&& fn) const {
+    for (size_t i = offsets_.size(); i-- > 0;) {
+      LogRecordHeader hdr;
+      std::memcpy(&hdr, buf_.data() + offsets_[i], sizeof(hdr));
+      fn(hdr, buf_.data() + offsets_[i] + sizeof(hdr));
+    }
+  }
+
+  /// Drop all records. Keeps capacity for reuse.
   void Clear() {
     buf_.clear();
     offsets_.clear();
+    published_ = 0;
   }
 
  private:
   friend class LogManager;  // AppendBatch seals/patches records in place
 
-  std::vector<uint8_t> buf_;       ///< staged records, wire format, unsealed
+  std::vector<uint8_t> buf_;       ///< staged records, wire format
   std::vector<uint32_t> offsets_;  ///< start offset of each record in buf_
+  /// Records [0, published_) went out in an earlier AppendBatch (their
+  /// headers carry their LSNs); the rest are unsealed.
+  size_t published_ = 0;
   /// Publish-plan scratch, reused across batches so AppendBatch never
   /// allocates on the commit path (single owner, like the buffer itself).
   std::vector<LogBatchSegment> seg_scratch_;

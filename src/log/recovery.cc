@@ -222,11 +222,8 @@ Status DecodeHeapRedo(const LogRecordHeader& hdr, const uint8_t* payload,
   return Status::OK();
 }
 
-}  // namespace
-
-Status RecoveryManager::ApplyRedo(Catalog* catalog,
-                                  const LogRecordHeader& hdr,
-                                  const uint8_t* payload) {
+Status ApplyRedo(Catalog* catalog, const LogRecordHeader& hdr,
+                 const uint8_t* payload) {
   const auto type = static_cast<LogRecordType>(hdr.type);
   switch (type) {
     case LogRecordType::kInsert:
@@ -283,8 +280,23 @@ Status RecoveryManager::ApplyRedo(Catalog* catalog,
       if (!st.ok() && TolerableReplay(type, st)) return Status::OK();
       return st;
     }
-    case LogRecordType::kClr:
-      return ApplyClr(catalog, hdr, payload);
+    case LogRecordType::kClr: {
+      if (hdr.payload_len < sizeof(ClrPayload)) {
+        return Status::Corruption("clr payload too short");
+      }
+      ClrPayload clr;
+      std::memcpy(&clr, payload, sizeof(clr));
+      if (!IsRedoType(static_cast<LogRecordType>(clr.redo_type))) {
+        return Status::Corruption("clr wraps a non-redo record type");
+      }
+      // Re-dispatch the inner redo with a synthetic header; CLR
+      // compensation is plain redo at absolute addresses, so the tolerance
+      // rules apply as-is.
+      LogRecordHeader inner = hdr;
+      inner.type = clr.redo_type;
+      inner.payload_len = hdr.payload_len - sizeof(ClrPayload);
+      return ApplyRedo(catalog, inner, payload + sizeof(ClrPayload));
+    }
     case LogRecordType::kBegin:
     case LogRecordType::kCommit:
     case LogRecordType::kAbort:
@@ -298,23 +310,47 @@ Status RecoveryManager::ApplyRedo(Catalog* catalog,
   return Status::Corruption("unknown record type survived scan");
 }
 
-Status RecoveryManager::ApplyClr(Catalog* catalog, const LogRecordHeader& hdr,
-                                 const uint8_t* payload) {
-  if (hdr.payload_len < sizeof(ClrPayload)) {
-    return Status::Corruption("clr payload too short");
+}  // namespace
+
+Status UndoRecord(Catalog* catalog, const LogRecordHeader& hdr,
+                  const uint8_t* payload, LogRecordType* inverse_type,
+                  std::vector<uint8_t>* inverse_payload) {
+  const auto type = static_cast<LogRecordType>(hdr.type);
+  switch (type) {
+    case LogRecordType::kInsert:
+    case LogRecordType::kUpdate:
+    case LogRecordType::kDelete: {
+      HeapRedoView view;
+      SLIDB_RETURN_NOT_OK(DecodeHeapRedo(hdr, payload, &view));
+      HeapRedoPayload row = view.row;
+      row.before_len = 0;
+      // The before-image becomes the inverse's after-image; an insert
+      // carries none, and its inverse is a delete.
+      *inverse_type = type == LogRecordType::kInsert   ? LogRecordType::kDelete
+                      : type == LogRecordType::kDelete ? LogRecordType::kInsert
+                                                       : LogRecordType::kUpdate;
+      inverse_payload->resize(sizeof(row) + view.before.size());
+      std::memcpy(inverse_payload->data(), &row, sizeof(row));
+      if (!view.before.empty()) {
+        std::memcpy(inverse_payload->data() + sizeof(row), view.before.data(),
+                    view.before.size());
+      }
+      break;
+    }
+    case LogRecordType::kIndexInsert:
+    case LogRecordType::kIndexRemove:
+      *inverse_type = type == LogRecordType::kIndexInsert
+                          ? LogRecordType::kIndexRemove
+                          : LogRecordType::kIndexInsert;
+      inverse_payload->assign(payload, payload + hdr.payload_len);
+      break;
+    default:
+      return Status::Corruption("undo of a non-redo record");
   }
-  ClrPayload clr;
-  std::memcpy(&clr, payload, sizeof(clr));
-  const auto inner_type = static_cast<LogRecordType>(clr.redo_type);
-  if (!IsRedoType(inner_type)) {
-    return Status::Corruption("clr wraps a non-redo record type");
-  }
-  // Re-dispatch the inner redo with a synthetic header; CLR compensation is
-  // plain redo at absolute addresses, so the tolerance rules apply as-is.
-  LogRecordHeader inner = hdr;
-  inner.type = clr.redo_type;
-  inner.payload_len = hdr.payload_len - sizeof(ClrPayload);
-  return ApplyRedo(catalog, inner, payload + sizeof(ClrPayload));
+  LogRecordHeader inverse = hdr;
+  inverse.type = static_cast<uint8_t>(*inverse_type);
+  inverse.payload_len = static_cast<uint32_t>(inverse_payload->size());
+  return ApplyRedo(catalog, inverse, inverse_payload->data());
 }
 
 Status RecoveryManager::WalkValidPrefix(
@@ -375,7 +411,7 @@ Status RecoveryManager::Replay(Catalog* catalog, const ClrSink& sink) {
                               type == LogRecordType::kCheckpointIndexImage;
         if (!is_redo && !is_clr && !is_image) return Status::OK();
         if ((is_redo || is_clr) && IsAborted(hdr.txn_id)) {
-          // The txn aborted before the crash: its in-memory undo ran before
+          // The txn aborted before the crash: its runtime undo ran before
           // the abort record was logged, and checkpoint images reflect the
           // post-undo state — replaying (or re-compensating) its records
           // would resurrect rolled-back changes.
@@ -398,59 +434,17 @@ Status RecoveryManager::Replay(Catalog* catalog, const ClrSink& sink) {
   // redo-only CLR per step. Losers held their X locks at the crash, so no
   // committed state is disturbed.
   std::unordered_set<uint64_t> losers_touched;
+  LogRecordType inverse_type{};
+  std::vector<uint8_t> inverse_payload;
   for (auto it = loser_records.rbegin(); it != loser_records.rend(); ++it) {
-    const auto type = static_cast<LogRecordType>(it->hdr.type);
-    LogRecordHeader inverse = it->hdr;
-    std::vector<uint8_t> inverse_payload;
-    switch (type) {
-      case LogRecordType::kInsert: {
-        HeapRedoView view;
-        SLIDB_RETURN_NOT_OK(DecodeHeapRedo(it->hdr, it->payload, &view));
-        HeapRedoPayload row = view.row;
-        row.before_len = 0;
-        inverse.type = static_cast<uint8_t>(LogRecordType::kDelete);
-        inverse_payload.resize(sizeof(row));
-        std::memcpy(inverse_payload.data(), &row, sizeof(row));
-        break;
-      }
-      case LogRecordType::kUpdate:
-      case LogRecordType::kDelete: {
-        HeapRedoView view;
-        SLIDB_RETURN_NOT_OK(DecodeHeapRedo(it->hdr, it->payload, &view));
-        HeapRedoPayload row = view.row;
-        row.before_len = 0;
-        inverse.type = static_cast<uint8_t>(type == LogRecordType::kDelete
-                                                ? LogRecordType::kInsert
-                                                : LogRecordType::kUpdate);
-        inverse_payload.resize(sizeof(row) + view.before.size());
-        std::memcpy(inverse_payload.data(), &row, sizeof(row));
-        if (!view.before.empty()) {
-          std::memcpy(inverse_payload.data() + sizeof(row),
-                      view.before.data(), view.before.size());
-        }
-        break;
-      }
-      case LogRecordType::kIndexInsert:
-      case LogRecordType::kIndexRemove: {
-        inverse.type =
-            static_cast<uint8_t>(type == LogRecordType::kIndexInsert
-                                     ? LogRecordType::kIndexRemove
-                                     : LogRecordType::kIndexInsert);
-        inverse_payload.assign(it->payload, it->payload + it->hdr.payload_len);
-        break;
-      }
-      default:
-        return Status::Corruption("non-redo record collected for undo");
-    }
-    inverse.payload_len = static_cast<uint32_t>(inverse_payload.size());
-    SLIDB_RETURN_NOT_OK(
-        ApplyRedo(catalog, inverse, inverse_payload.data()));
+    SLIDB_RETURN_NOT_OK(UndoRecord(catalog, it->hdr, it->payload,
+                                   &inverse_type, &inverse_payload));
     report_.records_undone++;
     CountEvent(Counter::kRecoveryRecordsUndone);
     losers_touched.insert(it->hdr.txn_id);
     if (sink) {
-      sink(it->hdr.txn_id, static_cast<LogRecordType>(inverse.type),
-           inverse_payload.data(), inverse.payload_len, it->hdr.lsn);
+      sink(it->hdr.txn_id, inverse_type, inverse_payload.data(),
+           static_cast<uint32_t>(inverse_payload.size()), it->hdr.lsn);
       report_.clrs_emitted++;
       CountEvent(Counter::kRecoveryClrsEmitted);
     }
@@ -458,21 +452,6 @@ Status RecoveryManager::Replay(Catalog* catalog, const ClrSink& sink) {
   report_.losers_rolled_back = losers_touched.size();
   CountEvent(Counter::kRecoveryLosersRolledBack, losers_touched.size());
   return Status::OK();
-}
-
-void RecoveryManager::ForEachCommittedRedo(
-    const std::function<void(const LogRecordHeader& hdr,
-                             const uint8_t* payload)>& fn) {
-  Scan();
-  (void)WalkValidPrefix(
-      base_lsn_,
-      [&](const LogRecordHeader& hdr, const uint8_t* payload) -> Status {
-        if (IsRedoType(static_cast<LogRecordType>(hdr.type)) &&
-            IsCommitted(hdr.txn_id)) {
-          fn(hdr, payload);
-        }
-        return Status::OK();
-      });
 }
 
 }  // namespace slidb

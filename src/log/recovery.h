@@ -18,17 +18,19 @@
 //      the checkpoint's active-txn table) — or from the stream base when no
 //      complete checkpoint exists. Checkpoint image records replay
 //      unconditionally; ordinary redo records and CLRs replay for every
-//      transaction EXCEPT durably-aborted ones (their in-memory undo ran
+//      transaction EXCEPT durably-aborted ones (their runtime undo ran
 //      before the abort record was logged, and checkpoint images — taken
 //      under row S locks — reflect post-undo state). Losers (transactions
 //      with records but neither commit nor abort in the prefix) are
 //      replayed too: their published records are stolen dirty state that
 //      repeating history must reconstruct before undo can compensate it.
 //   3. Undo: roll losers back in reverse LSN order by restoring each heap
-//      record's before-image (index undo is logical). Each undo step can
-//      emit a compensation record (CLR) through the caller's sink into the
-//      NEW log; CLRs are redo-only, so a crash during undo replays the
-//      partial rollback and the full re-undo converges idempotently.
+//      record's before-image (index undo is logical), through UndoRecord —
+//      the same step a runtime abort applies to its own staged records.
+//      Each undo step can emit a compensation record (CLR) through the
+//      caller's sink into the NEW log; CLRs are redo-only, so a crash
+//      during undo replays the partial rollback and the full re-undo
+//      converges idempotently.
 //
 // Why repeating-history + undo is sound here, including under early lock
 // release and speculative reads: a transaction's mutations are X-locked
@@ -91,6 +93,20 @@ using ClrSink = std::function<void(uint64_t loser, LogRecordType redo_type,
                                    const uint8_t* payload, uint32_t len,
                                    Lsn undo_of_lsn)>;
 
+/// Roll back one redo record (kInsert, kUpdate, kDelete, kIndexInsert or
+/// kIndexRemove): build its inverse — a delete for an insert, the
+/// before-image for an update or delete, the opposite index operation —
+/// and apply it to `catalog` as redo at the record's absolute address,
+/// under the replay tolerance rules. The inverse is left in
+/// `*inverse_type` and `*inverse_payload` (restart undo logs it as a CLR).
+/// Runtime abort (TransactionManager::Abort) and restart recovery's undo
+/// pass both roll back through this one function. Returns the apply error
+/// the tolerance rules do not absorb, or Corruption for a record that does
+/// not decode or is not a redo type.
+Status UndoRecord(Catalog* catalog, const LogRecordHeader& hdr,
+                  const uint8_t* payload, LogRecordType* inverse_type,
+                  std::vector<uint8_t>* inverse_payload);
+
 /// One-shot recovery over a captured durable stream. Scan() is idempotent;
 /// Replay() applies redo + undo into a catalog whose schema (tables and
 /// indexes, in original creation order) has been re-created. The target
@@ -121,13 +137,6 @@ class RecoveryManager {
   /// mismatch between the log and the catalog).
   Status Replay(Catalog* catalog, const ClrSink& sink = nullptr);
 
-  /// Walk the committed redo records of the valid prefix in log order
-  /// (calls Scan() if needed). Retained for streams without checkpoints
-  /// (legacy snapshot re-log) and for audits.
-  void ForEachCommittedRedo(
-      const std::function<void(const LogRecordHeader& hdr,
-                               const uint8_t* payload)>& fn);
-
   const RecoveryReport& report() const { return report_; }
   bool IsCommitted(uint64_t txn_id) const {
     return committed_.count(txn_id) != 0;
@@ -148,12 +157,6 @@ class RecoveryManager {
     Lsn redo_start = 0;
     bool complete = false;
   };
-
-  Status ApplyRedo(Catalog* catalog, const LogRecordHeader& hdr,
-                   const uint8_t* payload);
-  Status ApplyClr(Catalog* catalog, const LogRecordHeader& hdr,
-                  const uint8_t* payload);
-  Status UndoLosers(Catalog* catalog, const ClrSink& sink);
 
   /// Fold one scanned record (top-level or envelope-interior) into the
   /// committed/aborted/seen and checkpoint bookkeeping. `lsn` is the

@@ -41,10 +41,13 @@ class HeapFile {
   /// Full scan: fn(Rid, record bytes) under the page's shared latch.
   Status Scan(const std::function<void(Rid, std::span<const uint8_t>)>& fn);
 
-  // ---- crash-recovery replay (RecoveryManager only) ----
+  // ---- redo at absolute addresses (recovery replay and undo) ----
   // Redo records address rows physically (page, slot); replay re-creates
   // the exact placement the crashed run produced, so RIDs embedded in
-  // surviving index entries stay valid.
+  // surviving index entries stay valid. Undo (UndoRecord in recovery.h)
+  // applies each record's inverse through these too, both in restart
+  // recovery and when a transaction aborts at runtime: undoing a delete
+  // re-occupies the row's own slot.
 
   /// Materialize `rec` at exactly `rid`, creating pages up to rid.page_no
   /// on demand.

@@ -59,9 +59,6 @@ class SlottedPage {
     return gap > sizeof(Slot) ? gap - sizeof(Slot) : 0;
   }
 
-  static uint16_t SlotCount(const Page* page) {
-    return HeaderOf(page)->slot_count;
-  }
   static uint16_t LiveCount(const Page* page) {
     return HeaderOf(page)->live_count;
   }
@@ -119,11 +116,11 @@ class SlottedPage {
   }
 
   /// Redo-apply an insert at a specific slot (crash-recovery replay into
-  /// fresh storage). Extends the slot directory with holes up to
-  /// `slot_idx`, then places the record there. Replay re-executes the
-  /// original insert sequence page by page, so space that sufficed at
-  /// runtime suffices here; a shortfall means the log and the replay
-  /// diverged.
+  /// fresh storage, and the undo of a delete). Extends the slot directory
+  /// with holes up to `slot_idx`, then places the record there. Replay
+  /// re-executes the original insert sequence page by page, so space that
+  /// sufficed at runtime suffices here; a shortfall means the log and the
+  /// replay diverged.
   static Status RedoInsertAt(Page* page, uint16_t slot_idx,
                              std::span<const uint8_t> rec) {
     auto* h = HeaderOf(page);
@@ -150,15 +147,6 @@ class SlottedPage {
 
   /// Read a record; returns an empty span for holes / bad slots.
   static std::span<const uint8_t> Get(const Page* page, uint16_t slot_idx) {
-    const auto* h = HeaderOf(page);
-    if (slot_idx >= h->slot_count) return {};
-    const Slot& s = SlotsOf(page)[slot_idx];
-    if (s.offset == kInvalidOffset) return {};
-    return {page->bytes + s.offset, s.length};
-  }
-
-  /// Mutable view of a record (same-size in-place updates).
-  static std::span<uint8_t> GetMutable(Page* page, uint16_t slot_idx) {
     const auto* h = HeaderOf(page);
     if (slot_idx >= h->slot_count) return {};
     const Slot& s = SlotsOf(page)[slot_idx];

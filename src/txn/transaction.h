@@ -1,12 +1,10 @@
-// Transactions: 2PL lifecycle state, the embedded LockClient, and a logical
-// undo list used to roll back storage effects on abort.
+// Transactions: 2PL lifecycle state, the embedded LockClient, and the log
+// staging buffer that is both the transaction's redo batch and its undo log.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <vector>
 
 #include "src/lock/lock_client.h"
 #include "src/log/log_record.h"
@@ -37,16 +35,6 @@ enum class TxnState : uint8_t {
   kAborted,
 };
 
-inline const char* TxnStateName(TxnState s) {
-  switch (s) {
-    case TxnState::kIdle: return "idle";
-    case TxnState::kActive: return "active";
-    case TxnState::kCommitted: return "committed";
-    case TxnState::kAborted: return "aborted";
-  }
-  return "?";
-}
-
 /// One transaction. Reused by its agent thread across executions (the
 /// LockClient inside must stay alive for the whole run — see LockClient's
 /// lifetime note).
@@ -62,13 +50,6 @@ class Transaction {
 
   LockClient& lock_client() { return lock_client_; }
 
-  /// Register a compensation action, run in reverse order on abort.
-  /// Actions run while all locks are still held, so they may touch the same
-  /// rows the forward operation did.
-  void AddUndo(std::function<void()> fn) { undo_.push_back(std::move(fn)); }
-
-  size_t undo_size() const { return undo_.size(); }
-
   /// Bytes of log payload this transaction appended (stats only).
   void AddLogBytes(size_t n) { log_bytes_ += n; }
   size_t log_bytes() const { return log_bytes_; }
@@ -79,11 +60,9 @@ class Transaction {
   void Reset(uint64_t id, uint32_t agent_id) {
     id_ = id;
     state_ = TxnState::kActive;
-    undo_.clear();
     log_bytes_ = 0;
     begin_logged_ = false;
     staging_.Clear();
-    staged_published_ = false;
     // Publish order matters for the checkpointer's ATT snapshot: the slot
     // goes inactive, its fields change, then it reactivates — a racing
     // snapshot sees either the old txn, nothing, or the new txn, never a
@@ -97,28 +76,19 @@ class Transaction {
 
   void PubFinish() { pub_->active.store(false, std::memory_order_release); }
 
-  void RunUndo() {
-    for (auto it = undo_.rbegin(); it != undo_.rend(); ++it) (*it)();
-    undo_.clear();
-  }
-
   uint64_t id_ = 0;
   TxnState state_ = TxnState::kIdle;
   LockClient lock_client_;
-  std::vector<std::function<void()>> undo_;
   size_t log_bytes_ = 0;
   /// kBegin is emitted lazily with the first mutation record, so read-only
   /// transactions put nothing in the log append path.
   bool begin_logged_ = false;
   /// Transaction-private log staging (log_staging.h): redo records
   /// accumulate here and publish as one batch reservation at commit (or at
-  /// the staging watermark for long transactions). TransactionManager is
-  /// the only writer.
+  /// the staging watermark for long transactions). Every record stays
+  /// until the transaction ends, so the buffer is also the undo log an
+  /// abort walks newest first. TransactionManager is the only writer.
   LogStagingBuffer staging_;
-  /// True once any staged batch of this transaction was published (the
-  /// staging watermark fired): the txn now exists in the log, so an abort
-  /// must append its kAbort record instead of just dropping the buffer.
-  bool staged_published_ = false;
   /// Checkpointer-visible state (see TxnPubState). Created once per
   /// Transaction; registered with the TransactionManager on first Begin.
   std::shared_ptr<TxnPubState> pub_ = std::make_shared<TxnPubState>();

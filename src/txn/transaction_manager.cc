@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "src/log/recovery.h"
 #include "src/stats/counters.h"
 #include "src/stats/profiler.h"
 #include "src/util/time_util.h"
@@ -83,14 +84,12 @@ void TransactionManager::EmitRecord(Transaction& txn, LogRecordType type,
   // Long-transaction watermark: publish the partial batch (no commit
   // record yet — the txn still holds its locks, so dependents cannot have
   // observed these writes, let alone logged past them).
-  if (txn.staging_.bytes() >= options_.staging_flush_bytes) {
+  if (txn.staging_.unpublished_bytes() >= options_.staging_flush_bytes) {
     PublishStaged(txn);
   }
 }
 
 Lsn TransactionManager::PublishStaged(Transaction& txn) {
-  if (txn.staging_.empty()) return 0;
-  txn.staged_published_ = true;
   NoteFirstPublish(txn);
   return log_manager_->AppendBatch(&txn.staging_);
 }
@@ -99,7 +98,6 @@ void TransactionManager::LogHeapOp(AgentContext* agent, LogRecordType type,
                                    uint32_t table, Rid rid,
                                    std::span<const uint8_t> before,
                                    std::span<const uint8_t> image) {
-  if (log_manager_ == nullptr) return;
   MaybeLogBegin(agent->txn());
   HeapRedoPayload row{};
   row.table = table;
@@ -136,7 +134,6 @@ void TransactionManager::LogHeapOp(AgentContext* agent, LogRecordType type,
 void TransactionManager::LogIndexOp(AgentContext* agent, LogRecordType type,
                                     uint32_t index, uint64_t key,
                                     uint64_t value) {
-  if (log_manager_ == nullptr) return;
   MaybeLogBegin(agent->txn());
   IndexRedoPayload entry{};
   entry.index = index;
@@ -217,9 +214,7 @@ Status TransactionManager::Commit(AgentContext* agent) {
     return Status::TimedOut("txn deadline reached before commit");
   }
 
-  if (log_manager_ == nullptr) {
-    CommitReleaseLocks(agent, 0);
-  } else if (!txn.begin_logged_) {
+  if (!txn.begin_logged_) {
     // Read-only: the transaction logged nothing, so it appends no record.
     // But under early lock release the data it READ may not be durable
     // yet — the writer dropped its lock at commit-record *insertion*.
@@ -254,7 +249,6 @@ Status TransactionManager::Commit(AgentContext* agent) {
   }
   txn.state_ = TxnState::kCommitted;
   txn.PubFinish();
-  txn.undo_.clear();
   CountEvent(Counter::kTxnCommits);
   return Status::OK();
 }
@@ -264,22 +258,34 @@ void TransactionManager::Abort(AgentContext* agent) {
   Transaction& txn = agent->txn();
   if (!txn.active()) return;
 
-  // Undo runs under the transaction's locks, then the abort record is
-  // logged (no flush wait needed for aborts). Symmetric with Commit: a
-  // transaction that logged nothing appends nothing on abort either.
-  txn.RunUndo();
-  if (log_manager_ != nullptr && txn.begin_logged_) {
-    // Staged-but-unpublished redo is dropped: recovery would skip it
-    // unconditionally (the txn is a ghost), so publishing it would be dead
-    // log weight. When nothing ever reached the log, that is all — the log
-    // never learns the transaction existed. When a partial batch already
-    // published (staging watermark), the abort record closes the txn's
-    // on-log story.
+  // Undo runs under the transaction's locks: every staged record, newest
+  // first and published or not, is rolled back through the inverse restart
+  // recovery applies to a loser's records.
+  std::vector<uint8_t> inverse_payload;
+  txn.staging_.ForEachNewestFirst(
+      [&](const LogRecordHeader& hdr, const uint8_t* payload) {
+        if (hdr.type == static_cast<uint8_t>(LogRecordType::kBegin)) return;
+        LogRecordType inverse_type{};
+        const Status st = UndoRecord(catalog_, hdr, payload, &inverse_type,
+                                     &inverse_payload);
+        if (!st.ok()) {
+          // The transaction still X-locks every row it wrote, so a failed
+          // undo step means storage and log disagree: fail stop rather
+          // than release locks over a half-rolled-back state.
+          std::fprintf(stderr, "slidb: undo of txn %llu failed (%s)\n",
+                       static_cast<unsigned long long>(txn.id()),
+                       st.ToString().c_str());
+          std::abort();
+        }
+      });
+  // Symmetric with Commit: a transaction that published nothing appends
+  // nothing on abort either. After a partial publish (staging watermark),
+  // an abort record closes the txn's on-log story (no flush wait needed);
+  // its unpublished redo is dropped, as recovery would skip it anyway.
+  if (txn.staging_.published_any()) {
     txn.staging_.Clear();
-    if (txn.staged_published_) {
-      txn.staging_.Stage(txn.id(), LogRecordType::kAbort, nullptr, 0);
-      PublishStaged(txn);
-    }
+    txn.staging_.Stage(txn.id(), LogRecordType::kAbort, nullptr, 0);
+    PublishStaged(txn);
   }
   lock_manager_->ReleaseAll(&txn.lock_client(), &agent->sli(),
                             /*allow_inherit=*/false);

@@ -28,6 +28,8 @@
 
 namespace slidb {
 
+class Catalog;  // engine/catalog.h
+
 struct TxnOptions {
   /// Release locks (with SLI inheritance) after the commit record is
   /// *inserted* but before it is *durable*. Safe under group commit: log
@@ -40,11 +42,12 @@ struct TxnOptions {
   /// A transaction's redo records accumulate in its private staging buffer
   /// and publish as ONE batch reservation at commit (the commit record
   /// rides the same batch, after the redo records, so ELR ordering is
-  /// untouched); small records share a kBatchSeal checksum. A partial batch
-  /// publishes once this many staged bytes accumulate, so a long
-  /// transaction cannot pin an unbounded buffer (or overflow the ring).
-  /// Orders of magnitude below the default 8 MiB ring; 1 publishes every
-  /// record at operation time.
+  /// untouched); small records share a kBatchSeal checksum. The records
+  /// staged since the last publish go out early once they reach this many
+  /// bytes, so a long transaction cannot overflow the ring in one batch.
+  /// The buffer still keeps every record until the transaction ends: it is
+  /// the undo log an abort walks. Orders of magnitude below the default
+  /// 8 MiB ring; 1 publishes every record at operation time.
   size_t staging_flush_bytes = 64u << 10;
 
   /// Speculative reads with asynchronous commit dependencies. A commit
@@ -77,11 +80,14 @@ struct TxnOptions {
 
 class TransactionManager {
  public:
-  /// Both dependencies outlive the manager; no ownership taken.
+  /// Every dependency outlives the manager; no ownership taken. `catalog`
+  /// holds the tables and indexes the logged records address, which an
+  /// abort rolls back.
   TransactionManager(LockManager* lock_manager, LogManager* log_manager,
-                     TxnOptions options = {})
+                     Catalog* catalog, TxnOptions options = {})
       : lock_manager_(lock_manager),
         log_manager_(log_manager),
+        catalog_(catalog),
         options_(options) {}
 
   TransactionManager(const TransactionManager&) = delete;
@@ -93,8 +99,9 @@ class TransactionManager {
   /// Commit via the log-insert / lock-release / wait-durable pipeline.
   Status Commit(AgentContext* agent);
 
-  /// Abort: run undo actions (locks still held), log the abort, release
-  /// everything without inheritance.
+  /// Abort: undo the transaction's staged records newest first (locks still
+  /// held), log the abort if any record was published, release everything
+  /// without inheritance.
   void Abort(AgentContext* agent);
 
   // ---- redo logging (every storage mutation flows through here) ----
@@ -103,11 +110,10 @@ class TransactionManager {
   // is still X-locked, so dependent transactions always log after us.
 
   /// Log a heap row mutation. `image` is the after-image (kInsert/kUpdate;
-  /// empty for kDelete), `before` the before-image the restart undo pass
-  /// restores when this transaction turns out to be a loser (empty for
-  /// kInsert — undoing an insert is a delete). Both are full images, so a
-  /// CLR built from `before` replays at the absolute address with no other
-  /// context.
+  /// empty for kDelete), `before` the before-image an abort, or the restart
+  /// undo pass for a loser, restores (empty for kInsert — undoing an insert
+  /// is a delete). Both are full images, so a CLR built from `before`
+  /// replays at the absolute address with no other context.
   void LogHeapOp(AgentContext* agent, LogRecordType type, uint32_t table,
                  Rid rid, std::span<const uint8_t> before,
                  std::span<const uint8_t> image);
@@ -115,10 +121,6 @@ class TransactionManager {
   /// Log an index entry mutation (kIndexInsert / kIndexRemove).
   void LogIndexOp(AgentContext* agent, LogRecordType type, uint32_t index,
                   uint64_t key, uint64_t value);
-
-  uint64_t ActiveTransactionCeiling() const {
-    return next_txn_id_.load(std::memory_order_relaxed);
-  }
 
   /// Restart the txn-id space above every id seen in a recovered log, so
   /// post-recovery transactions never collide with pre-crash ones in the
@@ -151,8 +153,8 @@ class TransactionManager {
   void EmitRecord(Transaction& txn, LogRecordType type, const void* payload,
                   uint32_t payload_len);
 
-  /// Publish the txn's staged batch under one reservation; returns its end
-  /// LSN (0 when the buffer was empty).
+  /// Publish the records the txn staged since its last publish under one
+  /// reservation; returns their end LSN.
   Lsn PublishStaged(Transaction& txn);
 
   // Commit pipeline phases. `commit_lsn` stamps released write locks as
@@ -173,6 +175,7 @@ class TransactionManager {
 
   LockManager* lock_manager_;
   LogManager* log_manager_;
+  Catalog* catalog_;
   TxnOptions options_;
   std::atomic<uint64_t> next_txn_id_{1};
 

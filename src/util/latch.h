@@ -181,7 +181,6 @@ class OptLatch {
   bool IsObsolete() const {
     return (word_.load(std::memory_order_relaxed) & kObsoleteBit) != 0;
   }
-  uint64_t RawWord() const { return word_.load(std::memory_order_relaxed); }
 
  private:
   /// Spin until the lock bit clears; attributes the wait as contention.
@@ -206,13 +205,6 @@ class RwLatch {
   bool TryAcquireExclusive();
   void ReleaseShared() { state_.fetch_sub(1, std::memory_order_release); }
   void ReleaseExclusive() { state_.store(0, std::memory_order_release); }
-
-  /// Upgrade shared→exclusive; fails (returns false) if other readers exist.
-  bool TryUpgrade() {
-    int32_t expected = 1;
-    return state_.compare_exchange_strong(expected, -1,
-                                          std::memory_order_acquire);
-  }
 
  private:
   std::atomic<int32_t> state_{0};

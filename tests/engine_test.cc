@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <cstring>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -159,6 +160,79 @@ TEST(EngineTest, IndexRemoveUndoneOnAbort) {
   uint64_t v;
   ASSERT_TRUE(db.IndexLookup(idx, 1, &v).ok());
   EXPECT_EQ(v, 100u);
+}
+
+TEST(EngineTest, AbortUndoesNewestFirst) {
+  // An abort walks its own log records newest first. Rolled back oldest
+  // first, the first row would keep its intermediate value, and the
+  // deleted row and its index entry would come back.
+  Database db(TestOptions());
+  const TableId t = db.CreateTable("t");
+  const IndexId idx = db.CreateIndex(t, "pk", IndexKind::kBTree, true);
+  auto agent = db.CreateAgent();
+
+  db.Begin(agent.get());
+  Rid kept;
+  ASSERT_TRUE(db.Insert(agent.get(), t, Bytes("origin"), &kept).ok());
+  ASSERT_TRUE(db.Commit(agent.get()).ok());
+
+  db.Begin(agent.get());
+  ASSERT_TRUE(db.Update(agent.get(), t, kept, Bytes("first!")).ok());
+  ASSERT_TRUE(db.Update(agent.get(), t, kept, Bytes("second")).ok());
+  Rid doomed;
+  ASSERT_TRUE(db.Insert(agent.get(), t, Bytes("doomed"), &doomed).ok());
+  ASSERT_TRUE(db.IndexInsert(agent.get(), idx, 7, doomed.ToU64()).ok());
+  ASSERT_TRUE(db.IndexRemove(agent.get(), idx, 7, doomed.ToU64()).ok());
+  ASSERT_TRUE(db.Delete(agent.get(), t, doomed).ok());
+  db.Abort(agent.get());
+
+  db.Begin(agent.get());
+  char buf[6];
+  ASSERT_TRUE(db.Read(agent.get(), t, kept, buf, 6).ok());
+  EXPECT_EQ(std::memcmp(buf, "origin", 6), 0);
+  EXPECT_TRUE(db.Read(agent.get(), t, doomed, buf, 6).IsNotFound());
+  ASSERT_TRUE(db.Commit(agent.get()).ok());
+  uint64_t v;
+  EXPECT_TRUE(db.IndexLookup(idx, 7, &v).IsNotFound());
+}
+
+TEST(EngineTest, AbortAfterPartialPublishRestoresEveryRow) {
+  // The staging watermark publishes a long transaction's records before
+  // it ends. The buffer keeps them, so an abort still undoes every write,
+  // not only the ones staged since the last publish.
+  DatabaseOptions o = TestOptions();
+  o.txn.staging_flush_bytes = 64;
+  Database db(o);
+  const TableId t = db.CreateTable("t");
+  auto agent = db.CreateAgent();
+  constexpr int kRows = 8;
+  std::vector<Rid> rids(kRows);
+  db.Begin(agent.get());
+  for (int i = 0; i < kRows; ++i) {
+    ASSERT_TRUE(db.Insert(agent.get(), t, Bytes("old-" + std::to_string(i)),
+                          &rids[i])
+                    .ok());
+  }
+  ASSERT_TRUE(db.Commit(agent.get()).ok());
+
+  db.Begin(agent.get());
+  const uint64_t records_before = db.log_manager().Stats().records;
+  for (int i = 0; i < kRows; ++i) {
+    ASSERT_TRUE(
+        db.Update(agent.get(), t, rids[i], Bytes("new-" + std::to_string(i)))
+            .ok());
+  }
+  EXPECT_GT(db.log_manager().Stats().records, records_before)
+      << "the watermark should have published a partial batch";
+  db.Abort(agent.get());
+
+  db.Begin(agent.get());
+  for (int i = 0; i < kRows; ++i) {
+    std::string row;
+    ASSERT_TRUE(db.ReadString(agent.get(), t, rids[i], &row).ok());
+    EXPECT_EQ(row, "old-" + std::to_string(i)) << "row " << i;
+  }
+  ASSERT_TRUE(db.Commit(agent.get()).ok());
 }
 
 TEST(EngineTest, WriteConflictSerializes) {

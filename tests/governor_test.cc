@@ -287,7 +287,8 @@ TEST(GovernorTest, CommitDeadlineDuringHeldPassParksTheAck) {
   LogManager log(logo);
   TxnOptions txo;
   txo.early_lock_release = true;
-  TransactionManager tm(&lock_manager, &log, txo);
+  Catalog catalog;
+  TransactionManager tm(&lock_manager, &log, &catalog, txo);
   std::thread holder([&] {
     const Lsn lsn = log.Append(999, LogRecordType::kCommit, nullptr, 0);
     log.WaitDurable(lsn);

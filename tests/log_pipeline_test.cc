@@ -370,7 +370,12 @@ TEST(LogBatchTest, EnvelopeFormationSealsSmallRunsUnderOneCrc) {
     }
     ASSERT_EQ(staging.records(), 17u);
     const Lsn end = log.AppendBatch(&staging);
-    EXPECT_TRUE(staging.empty());  // drained by the publish
+    // The buffer keeps its records (a transaction's undo log) but has none
+    // left to publish: a second call appends nothing, which the record and
+    // reservation counts below confirm.
+    EXPECT_EQ(staging.records(), 17u);
+    EXPECT_EQ(staging.unpublished_bytes(), 0u);
+    log.AppendBatch(&staging);
     log.WaitDurable(end);
     EXPECT_EQ(log.Stats().records, 17u);  // interior records count
   }
@@ -456,6 +461,7 @@ TEST(LogBatchTest, MultiWriterBatchInterleavingThroughRealValidator) {
                           static_cast<uint32_t>(p.size()));
           }
           log.AppendBatch(&staging);
+          staging.Clear();
         }
       });
     }

@@ -540,6 +540,7 @@ TEST(RecoverySweepTest, BatchedEnvelopeStreamTruncationSweep) {
       }
       staging.Stage(txn, LogRecordType::kCommit, nullptr, 0);
       last = log.AppendBatch(&staging);
+      staging.Clear();
     }
     log.WaitDurable(last);
   }
@@ -879,6 +880,53 @@ TEST(RecoveryEngineDeathTest, RestartWhoseFirstLogWriteFailsKeepsEveryCommit) {
     const RowMap rows = DumpHeap(db.catalog(), t);
     EXPECT_EQ(rows.size(), committed.size());
     EXPECT_EQ(rows, committed);
+  }
+  RemoveSegmentFiles(path);
+}
+
+TEST(RecoveryEngineDeathTest, TrafficBeforeRecoverOnAnExistingLogFailsStop) {
+  // A database opened on a log_path that already holds a log writes a
+  // tentative generation, which a later recovery ignores until Recover
+  // marks it authoritative. A transaction begun before Recover would be
+  // acknowledged and then lost, so Begin fails stop instead, and every
+  // commit of the first run survives.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const std::string path = "slidb_traffic_before_recover.log";
+  constexpr uint64_t kRows = 5;
+  DatabaseOptions o = TestOptions();
+  o.log_path = path;
+  // The death-test child re-runs this body from the top, so it rebuilds
+  // the same run-1 log before the run that dies.
+  RemoveSegmentFiles(path);
+  RowMap committed;
+  {  // Run 1: a fresh path needs no Recover.
+    Database db(o);
+    const TableId t = db.CreateTable("t");
+    auto agent = db.CreateAgent();
+    for (uint64_t i = 0; i < kRows; ++i) {
+      const std::string row = "row-" + std::to_string(i);
+      Rid rid;
+      db.Begin(agent.get());
+      ASSERT_TRUE(db.Insert(agent.get(), t, Bytes(row), &rid).ok());
+      ASSERT_TRUE(db.Commit(agent.get()).ok());
+      committed[rid.ToU64()] = row;
+    }
+  }
+  EXPECT_DEATH(
+      {
+        Database db(o);
+        db.CreateTable("t");
+        auto agent = db.CreateAgent();
+        db.Begin(agent.get());
+      },
+      "call Recover before the first transaction");
+  {  // Run 3: recovery still reads run 1's generation in full.
+    Database db(o);
+    const TableId t = db.CreateTable("t");
+    RecoveryReport report;
+    ASSERT_TRUE(db.Recover(path, &report).ok());
+    EXPECT_EQ(report.committed_txns, kRows);
+    EXPECT_EQ(DumpHeap(db.catalog(), t), committed);
   }
   RemoveSegmentFiles(path);
 }

@@ -1,15 +1,19 @@
-// Transaction manager tests: lifecycle, undo ordering, durability
-// interaction, the commit pipeline's early-lock-release phase split, and
-// SLI hand-off across the Begin/Commit boundary.
+// Transaction manager tests: lifecycle, durability interaction, the
+// commit pipeline's early-lock-release phase split, and SLI hand-off across
+// the Begin/Commit boundary. Undo through the logged records is covered
+// end to end in engine_test.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstring>
 #include <mutex>
 #include <thread>
 #include <vector>
 
+#include "src/buffer/volume.h"
+#include "src/engine/catalog.h"
 #include "src/txn/transaction_manager.h"
 
 namespace slidb {
@@ -21,9 +25,10 @@ struct TxnHarness {
     LogOptions logo;
     logo.flush_interval_us = 50;
     log_manager = std::make_unique<LogManager>(logo);
-    txn_manager = std::make_unique<TransactionManager>(lock_manager.get(),
-                                                       log_manager.get());
+    txn_manager = std::make_unique<TransactionManager>(
+        lock_manager.get(), log_manager.get(), &catalog);
   }
+  Catalog catalog;  // no tables: these tests abort no writes
   std::unique_ptr<LockManager> lock_manager;
   std::unique_ptr<LogManager> log_manager;
   std::unique_ptr<TransactionManager> txn_manager;
@@ -60,31 +65,6 @@ TEST(TxnTest, CommitOfInactiveTxnRejected) {
   ASSERT_TRUE(h.txn_manager->Commit(&agent).ok());
   EXPECT_TRUE(h.txn_manager->Commit(&agent).IsInvalidArgument());
   h.txn_manager->Abort(&agent);  // no-op on inactive txn
-}
-
-TEST(TxnTest, UndoRunsInReverseOrderOnAbort) {
-  TxnHarness h;
-  AgentContext agent(0);
-  Transaction* t = h.txn_manager->Begin(&agent);
-  std::vector<int> order;
-  t->AddUndo([&] { order.push_back(1); });
-  t->AddUndo([&] { order.push_back(2); });
-  t->AddUndo([&] { order.push_back(3); });
-  h.txn_manager->Abort(&agent);
-  ASSERT_EQ(order.size(), 3u);
-  EXPECT_EQ(order[0], 3);
-  EXPECT_EQ(order[1], 2);
-  EXPECT_EQ(order[2], 1);
-}
-
-TEST(TxnTest, UndoNotRunOnCommit) {
-  TxnHarness h;
-  AgentContext agent(0);
-  Transaction* t = h.txn_manager->Begin(&agent);
-  bool ran = false;
-  t->AddUndo([&] { ran = true; });
-  ASSERT_TRUE(h.txn_manager->Commit(&agent).ok());
-  EXPECT_FALSE(ran);
 }
 
 TEST(TxnTest, CommitWaitsForDurability) {
@@ -219,7 +199,8 @@ TEST(TxnTest, EarlyLockReleaseDropsLocksBeforeDurability) {
   LogManager log_manager(logo);
   TxnOptions txo;
   txo.early_lock_release = true;
-  TransactionManager tm(&lock_manager, &log_manager, txo);
+  Catalog catalog;
+  TransactionManager tm(&lock_manager, &log_manager, &catalog, txo);
 
   AgentContext agent(0);
   tm.Begin(&agent);
@@ -268,7 +249,8 @@ TEST(TxnTest, LegacyOrderingHoldsLocksUntilDurable) {
   LogManager log_manager(logo);
   TxnOptions txo;
   txo.early_lock_release = false;
-  TransactionManager tm(&lock_manager, &log_manager, txo);
+  Catalog catalog;
+  TransactionManager tm(&lock_manager, &log_manager, &catalog, txo);
 
   AgentContext agent(0);
   tm.Begin(&agent);
@@ -314,7 +296,8 @@ TEST(TxnTest, ReadOnlyCommitWaitsForObservedWritersDurability) {
   LogManager log_manager(logo);
   TxnOptions txo;
   txo.early_lock_release = true;
-  TransactionManager tm(&lock_manager, &log_manager, txo);
+  Catalog catalog;
+  TransactionManager tm(&lock_manager, &log_manager, &catalog, txo);
 
   AgentContext writer(0);
   tm.Begin(&writer);
@@ -360,7 +343,8 @@ TEST(TxnTest, ReadOnlyCommitSkipsLogAndDurableWait) {
   logo.flush_interval_us = 50;
   gate.Install(&logo);
   LogManager log_manager(logo);
-  TransactionManager tm(&lock_manager, &log_manager);
+  Catalog catalog;
+  TransactionManager tm(&lock_manager, &log_manager, &catalog);
 
   AgentContext agent(0);
   tm.Begin(&agent);
@@ -443,7 +427,8 @@ TEST(TxnTest, SpeculativeCommitsReturnEarlyAndSettleOnlyWhenDurable) {
   TxnOptions txo;
   txo.early_lock_release = true;
   txo.speculative_reads = true;
-  TransactionManager tm(&lock_manager, &log_manager, txo);
+  Catalog catalog;
+  TransactionManager tm(&lock_manager, &log_manager, &catalog, txo);
 
   // Writer commits on THIS thread: under speculation Commit() must return
   // with the flush still gated — no committer thread needed.
@@ -522,22 +507,38 @@ TEST(TxnTest, WriterAbortAfterSpeculativeReadLeavesNoDependency) {
   logo.flush_interval_us = 50;
   gate.Install(&logo);
   LogManager log_manager(logo);
+  Volume volume;
+  BufferPoolOptions bpo;
+  bpo.num_frames = 64;
+  BufferPool pool(&volume, bpo);
+  Catalog catalog;
+  catalog.AddTable("t0", std::make_unique<HeapFile>(&pool));
+  const TableId t = catalog.AddTable("t1", std::make_unique<HeapFile>(&pool));
+  HeapFile* heap = catalog.table(t).heap.get();
+  const uint8_t before[4] = {1, 2, 3, 4};
+  Rid rid;
+  ASSERT_TRUE(heap->Insert(before, &rid).ok());
   TxnOptions txo;
   txo.early_lock_release = true;
   txo.speculative_reads = true;
-  TransactionManager tm(&lock_manager, &log_manager, txo);
+  TransactionManager tm(&lock_manager, &log_manager, &catalog, txo);
 
   AgentContext writer(0);
   tm.Begin(&writer);
   ASSERT_TRUE(lock_manager
-                  .Lock(&writer.txn().lock_client(), LockId::Table(0, 1),
+                  .Lock(&writer.txn().lock_client(), LockId::Table(0, t),
                         LockMode::kX)
                   .ok());
   const uint8_t img[4] = {7, 7, 7, 7};
-  tm.LogHeapOp(&writer, LogRecordType::kUpdate, 1, Rid{0, 0}, {}, img);
+  ASSERT_TRUE(heap->Update(rid, img).ok());
+  tm.LogHeapOp(&writer, LogRecordType::kUpdate, t, rid, before, img);
   tm.Abort(&writer);
-  // Nothing of the aborted writer ever reached the log (staged redo was
-  // dropped), and its release stamped no commit LSN on the head.
+  // The abort restored the row from its logged before-image. Nothing of
+  // the aborted writer ever reached the log (staged redo was dropped), and
+  // its release stamped no commit LSN on the head.
+  uint8_t now[4] = {};
+  ASSERT_TRUE(heap->ReadInto(rid, now, sizeof(now)).ok());
+  EXPECT_EQ(std::memcmp(now, before, sizeof(now)), 0);
   EXPECT_EQ(log_manager.Stats().records, 0u);
 
   AgentContext reader(1);
@@ -546,7 +547,7 @@ TEST(TxnTest, WriterAbortAfterSpeculativeReadLeavesNoDependency) {
     ScopedCounterSet routed(&rc);
     tm.Begin(&reader);
     ASSERT_TRUE(lock_manager
-                    .Lock(&reader.txn().lock_client(), LockId::Table(0, 1),
+                    .Lock(&reader.txn().lock_client(), LockId::Table(0, t),
                           LockMode::kS)
                     .ok());
     EXPECT_EQ(reader.txn().lock_client().dep_lsn(), 0u);

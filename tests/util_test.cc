@@ -121,19 +121,6 @@ TEST(RwLatchTest, ManyReadersOneWriter) {
   latch.ReleaseExclusive();
 }
 
-TEST(RwLatchTest, UpgradeOnlyWhenSoleReader) {
-  RwLatch latch;
-  latch.AcquireShared();
-  EXPECT_TRUE(latch.TryUpgrade());
-  latch.ReleaseExclusive();
-
-  latch.AcquireShared();
-  latch.AcquireShared();
-  EXPECT_FALSE(latch.TryUpgrade());
-  latch.ReleaseShared();
-  latch.ReleaseShared();
-}
-
 TEST(RwLatchTest, WriterExcludesWritersUnderContention) {
   RwLatch latch;
   int64_t counter = 0;
