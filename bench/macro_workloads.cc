@@ -51,9 +51,8 @@ struct LogAppendSample {
 /// Raw append throughput: per-record (`batch_records` = 0) pays one ticket
 /// fetch-add + slot handoff + seal per record; batched stages
 /// `batch_records` records per AppendBatch publication (the
-/// transaction-staging path, minus the transaction). Records at or below
-/// the 64-byte wire bound additionally publish under kBatchSeal envelopes
-/// — one CRC per run instead of one per record.
+/// transaction-staging path, minus the transaction), one ticket and slot
+/// per batch but still one seal per record.
 LogAppendSample RunLogAppend(const char* label, int threads,
                              double duration_s, uint32_t payload_bytes,
                              uint32_t batch_records = 0) {
@@ -220,8 +219,8 @@ int Main(int argc, char** argv) {
 
   // ---- Section 1: raw log append, per-record vs batched --------------------
   // 96-byte payloads (the historical rows) and 16-byte "tiny" payloads,
-  // where the 32-byte header + per-record seal dominate and the batched
-  // path's kBatchSeal envelopes amortize the checksum across whole runs.
+  // where the 32-byte header + per-record seal dominate and batching saves
+  // only the per-record ticket and slot handoff.
   const double append_window = args.quick ? 0.2 : 1.0;
   constexpr uint32_t kBatchedRecords = 32;
   std::printf("== raw log append throughput (records/s) ==\n");

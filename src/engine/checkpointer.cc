@@ -49,7 +49,7 @@ Status Checkpointer::CheckpointNow(Lsn* redo_start_out) {
   LogManager& log = db_->log_manager();
   LockManager& locks = db_->lock_manager();
   Catalog& catalog = db_->catalog();
-  const uint32_t db_id = db_->options().db_id;
+  constexpr uint32_t db_id = Database::kLockDbId;
 
   CheckpointBeginPayload begin{};
   const Lsn begin_end = log.Append(/*txn_id=*/0, LogRecordType::kCheckpointBegin,

@@ -163,14 +163,14 @@ Status Database::LockRow(AgentContext* agent, TableId table, Rid rid,
                          LockMode mode) {
   return lock_manager_->Lock(
       &agent->txn().lock_client(),
-      LockId::Row(options_.db_id, table, rid.page_no, rid.slot), mode);
+      LockId::Row(kLockDbId, table, rid.page_no, rid.slot), mode);
 }
 
 Status Database::Insert(AgentContext* agent, TableId table,
                         std::span<const uint8_t> rec, Rid* rid) {
   // Announce write intent on the table before touching pages.
   SLIDB_RETURN_NOT_OK(lock_manager_->Lock(&agent->txn().lock_client(),
-                                          LockId::Table(options_.db_id, table),
+                                          LockId::Table(kLockDbId, table),
                                           LockMode::kIX));
   HeapFile* heap = catalog_.table(table).heap.get();
   SLIDB_RETURN_NOT_OK(heap->Insert(rec, rid));

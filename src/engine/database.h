@@ -26,7 +26,6 @@
 namespace slidb {
 
 struct DatabaseOptions {
-  uint32_t db_id = 0;
   LockManagerOptions lock;
   LogOptions log;
   TxnOptions txn;
@@ -51,6 +50,10 @@ class Checkpointer;  // engine/checkpointer.h
 
 class Database {
  public:
+  /// The lock hierarchy's database level: each Database owns its lock
+  /// manager, so every lock it takes names the same database.
+  static constexpr uint32_t kLockDbId = 0;
+
   explicit Database(DatabaseOptions options = {});
   ~Database();
 
@@ -109,7 +112,9 @@ class Database {
   // Begin fails stop until it has (a fresh log_path needs no Recover).
 
   /// Recover from the durable log written via DatabaseOptions::log_path:
-  /// the newest authoritative generation of segments under `path`.
+  /// the newest authoritative generation of segments under `path`. A log
+  /// written in another format version fails with NotSupported and stays
+  /// as it is (Begin keeps failing stop on a log_path that holds one).
   Status Recover(const std::string& path, RecoveryReport* report = nullptr);
 
   /// Recover from an already-read durable byte stream (crash-test harness

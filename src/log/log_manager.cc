@@ -101,15 +101,27 @@ Lsn LogManager::Append(uint64_t txn_id, LogRecordType type,
   const size_t total = sizeof(LogRecordHeader) + payload_len;
   uint64_t seq;
   const Lsn start = Reserve(total, &seq);
-  // The header is sealed only now that the record's start LSN is known:
-  // the CRC covers the lsn field, binding the checksum to the offset.
-  const LogRecordHeader hdr =
-      MakeLogRecordHeader(txn_id, type, start, payload, payload_len);
-  CopyIntoRing(start, &hdr, sizeof(hdr));
-  if (payload_len > 0) {
-    CopyIntoRing(start + sizeof(hdr), payload, payload_len);
-  }
+  LogRecordHeader hdr = MakeUnsealedHeader(txn_id, type, payload_len);
+  SealIntoRing(reinterpret_cast<uint8_t*>(&hdr), payload, start);
   return Publish(seq, start + total, 1);
+}
+
+size_t LogManager::SealIntoRing(uint8_t* hdr, const void* payload, Lsn at) {
+  // The seal waits for the record's start LSN: the CRC covers the lsn
+  // field, binding the checksum to the offset. Staged headers sit at
+  // unaligned offsets, so fields are patched with memcpy, never a cast.
+  std::memcpy(hdr + offsetof(LogRecordHeader, lsn), &at, sizeof(at));
+  uint32_t payload_len;
+  std::memcpy(&payload_len, hdr + offsetof(LogRecordHeader, payload_len),
+              sizeof(payload_len));
+  uint32_t c = Crc32c(0, hdr + kLogCrcSkip,
+                      sizeof(LogRecordHeader) - kLogCrcSkip);
+  if (payload_len > 0) {
+    c = CopyIntoRingCrc(at + sizeof(LogRecordHeader), payload, payload_len, c);
+  }
+  std::memcpy(hdr + offsetof(LogRecordHeader, crc), &c, sizeof(c));
+  CopyIntoRing(at, hdr, sizeof(LogRecordHeader));
+  return sizeof(LogRecordHeader) + payload_len;
 }
 
 Lsn LogManager::Reserve(size_t total, uint64_t* seq_out) {
@@ -155,148 +167,50 @@ Lsn LogManager::Publish(uint64_t seq, Lsn end, uint64_t records) {
   return end;
 }
 
-void LogManager::PlanBatchSegments(LogStagingBuffer* staging) const {
-  std::vector<LogBatchSegment>& segs = staging->seg_scratch_;
-  segs.clear();
-  // Bound one envelope's interior: a single CRC never covers more than the
-  // format cap, and an envelope always fits comfortably inside one ring
-  // reservation even on the tiny rings the tests configure.
-  const uint32_t run_cap = static_cast<uint32_t>(std::min<size_t>(
-      kMaxEnvelopePayloadLen, options_.buffer_bytes / 4));
-  const size_t n = staging->offsets_.size();
-  const auto rec_len = [&](size_t i) -> uint32_t {
-    const uint32_t end = i + 1 < n
-                             ? staging->offsets_[i + 1]
-                             : static_cast<uint32_t>(staging->buf_.size());
-    return end - staging->offsets_[i];
-  };
-  size_t i = staging->published_;
-  while (i < n) {
-    const uint32_t len = rec_len(i);
-    // Extend a run of consecutive small records; a run of >= 2 is worth an
-    // envelope (one CRC instead of count), a singleton is not (the 32-byte
-    // envelope header would outweigh the saved seal).
-    size_t j = i;
-    uint32_t run_bytes = 0;
-    while (j < n) {
-      const uint32_t lj = rec_len(j);
-      if (lj > kBatchSealMaxRecordBytes || run_bytes + lj > run_cap) break;
-      run_bytes += lj;
-      ++j;
-    }
-    if (j - i >= 2) {
-      segs.push_back({static_cast<uint32_t>(j - i), staging->offsets_[i],
-                      run_bytes, /*envelope=*/true});
-      i = j;
-    } else {
-      segs.push_back({1, staging->offsets_[i], len, /*envelope=*/false});
-      ++i;
-    }
-  }
-}
-
-size_t LogManager::SealSegmentIntoRing(LogStagingBuffer* staging,
-                                       const LogBatchSegment& seg, Lsn at) {
-  // Staged record offsets are unaligned (records pack back to back), so
-  // header fields are patched with memcpy, never through a cast.
-  uint8_t* base = staging->buf_.data() + seg.stage_off;
-  if (!seg.envelope) {
-    const Lsn lsn = at;
-    std::memcpy(base + offsetof(LogRecordHeader, lsn), &lsn, sizeof(lsn));
-    // Fold the seal into the copy: checksum the header tail in place, then
-    // copy the payload into the ring while extending the same CRC.
-    uint32_t c = Crc32c(0, base + kLogCrcSkip,
-                        sizeof(LogRecordHeader) - kLogCrcSkip);
-    const size_t payload_len = seg.stage_len - sizeof(LogRecordHeader);
-    c = CopyIntoRingCrc(at + sizeof(LogRecordHeader),
-                        base + sizeof(LogRecordHeader), payload_len, c);
-    std::memcpy(base, &c, sizeof(c));  // hdr.crc
-    CopyIntoRing(at, base, sizeof(LogRecordHeader));
-    return seg.stage_len;
-  }
-
-  // Envelope: patch every interior record's lsn to its real stream offset
-  // (their crc fields stay zero — the envelope CRC seals the whole run),
-  // then copy the run into the ring under the envelope's single checksum.
-  const Lsn interior_base = at + sizeof(LogRecordHeader);
-  size_t rel = 0;
-  while (rel < seg.stage_len) {
-    const Lsn lsn = interior_base + rel;
-    std::memcpy(base + rel + offsetof(LogRecordHeader, lsn), &lsn,
-                sizeof(lsn));
-    uint32_t plen;
-    std::memcpy(&plen, base + rel + offsetof(LogRecordHeader, payload_len),
-                sizeof(plen));
-    rel += sizeof(LogRecordHeader) + plen;
-  }
-  LogRecordHeader env{};
-  env.payload_len = seg.stage_len;
-  std::memcpy(&env.txn_id, base + offsetof(LogRecordHeader, txn_id),
-              sizeof(env.txn_id));
-  env.lsn = at;
-  env.type = static_cast<uint8_t>(LogRecordType::kBatchSeal);
-  env.version = kLogFormatVersion;
-  uint32_t c = Crc32c(0, reinterpret_cast<const uint8_t*>(&env) + kLogCrcSkip,
-                      sizeof(env) - kLogCrcSkip);
-  c = CopyIntoRingCrc(interior_base, base, seg.stage_len, c);
-  env.crc = c;
-  CopyIntoRing(at, &env, sizeof(env));
-  return sizeof(env) + seg.stage_len;
-}
-
-Lsn LogManager::PublishChunk(LogStagingBuffer* staging,
-                             const LogBatchSegment* segs, size_t n,
-                             size_t total) {
-  // The whole chunk rides one ticket and one publish slot — the
-  // amortization this path exists for.
-  uint64_t seq;
-  Lsn cursor = Reserve(total, &seq);
-  uint64_t recs = 0;
-  for (size_t i = 0; i < n; ++i) {
-    cursor += SealSegmentIntoRing(staging, segs[i], cursor);
-    recs += segs[i].count;
-  }
-  return Publish(seq, cursor, recs);
-}
-
 Lsn LogManager::AppendBatch(LogStagingBuffer* staging) {
   ScopedComponent comp(Component::kLog);
-  if (staging->unpublished_bytes() == 0) return appended_lsn();
-  PlanBatchSegments(staging);
-  const std::vector<LogBatchSegment>& segs = staging->seg_scratch_;
+  const size_t batch_bytes = staging->unpublished_bytes();
+  if (batch_bytes == 0) return appended_lsn();
+  const std::vector<uint32_t>& offsets = staging->offsets_;
+  uint8_t* const buf = staging->buf_.data();
+  const size_t n = offsets.size();
+  const auto end_of = [&](size_t i) -> size_t {
+    return i + 1 < n ? offsets[i + 1] : staging->buf_.size();
+  };
   const size_t cap = options_.buffer_bytes;
   // A reservation can never exceed the ring (its bytes would have to
   // overwrite data that cannot become durable first — a self-deadlock), so
-  // oversized batches split at segment granularity. Half the ring per
-  // chunk keeps passes pipelined behind very large batches; in the
-  // intended regime (staging watermark << ring) a batch is one chunk.
+  // oversized batches split at record granularity. Half the ring per chunk
+  // keeps passes pipelined behind very large batches; in the intended
+  // regime (staging watermark << ring) a batch is one chunk.
   const size_t chunk_limit = std::max<size_t>(cap / 2, 1);
   Lsn end = 0;
-  size_t i = 0;
-  uint64_t batch_records = 0;
-  uint64_t batch_bytes = 0;
-  while (i < segs.size()) {
-    size_t total = segs[i].wire_bytes();
-    if (total > cap) {
+  size_t i = staging->published_;
+  while (i < n) {
+    const size_t first = offsets[i];
+    if (end_of(i) - first > cap) {
       std::fprintf(stderr,
                    "slidb: batched log record (%zu B) exceeds ring (%zu B)\n",
-                   total, cap);
+                   end_of(i) - first, cap);
       std::abort();
     }
     size_t j = i + 1;
-    while (j < segs.size() && total + segs[j].wire_bytes() <= chunk_limit) {
-      total += segs[j].wire_bytes();
-      ++j;
+    while (j < n && end_of(j) - first <= chunk_limit) ++j;
+    // The whole chunk rides one ticket and one publish slot — the
+    // amortization this path exists for.
+    uint64_t seq;
+    Lsn cursor = Reserve(end_of(j - 1) - first, &seq);
+    for (size_t k = i; k < j; ++k) {
+      uint8_t* rec = buf + offsets[k];
+      cursor += SealIntoRing(rec, rec + sizeof(LogRecordHeader), cursor);
     }
-    end = PublishChunk(staging, segs.data() + i, j - i, total);
+    end = Publish(seq, cursor, j - i);
     CountEvent(Counter::kLogBatchAppends);
-    for (size_t k = i; k < j; ++k) batch_records += segs[k].count;
-    batch_bytes += total;
     i = j;
   }
-  CountEvent(Counter::kLogBatchRecords, batch_records);
+  CountEvent(Counter::kLogBatchRecords, n - staging->published_);
   CountEvent(Counter::kLogBatchBytes, batch_bytes);
-  staging->published_ = staging->offsets_.size();
+  staging->published_ = n;
   return end;
 }
 

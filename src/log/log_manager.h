@@ -95,13 +95,9 @@ class LogManager {
   /// keeps the records (a transaction's undo log) until its owner clears
   /// it. The whole batch costs ONE ticket fetch-add and one publish-slot
   /// handoff (it may split into a few reservations only when it exceeds
-  /// half the ring), with each record's seal — lsn patch + CRC — folded
-  /// into the ring copy loop.
-  /// Runs of >= 2 consecutive records of at most kBatchSealMaxRecordBytes
-  /// on the wire are wrapped in kBatchSeal envelopes: one CRC seals the
-  /// whole run instead of one per record. Record order within the
-  /// batch is preserved; with nothing new staged it publishes nothing and
-  /// returns appended_lsn().
+  /// half the ring), and each record is sealed on its own, as Append seals
+  /// one. Record order within the batch is preserved; with nothing new
+  /// staged it publishes nothing and returns appended_lsn().
   Lsn AppendBatch(LogStagingBuffer* staging);
 
   /// Block until everything up to `lsn` is durable (group commit), through
@@ -177,16 +173,12 @@ class LogManager {
   Lsn Reserve(size_t total, uint64_t* seq);
   /// Publish a filled reservation ending at `end`; returns `end`.
   Lsn Publish(uint64_t seq, Lsn end, uint64_t records);
-  /// Split the staged records into plain/envelope segments (no copying;
-  /// fills the staging buffer's reusable scratch).
-  void PlanBatchSegments(LogStagingBuffer* staging) const;
-  /// Seal `seg` at ring offset `at`: patch interior lsns, fold the CRC into
-  /// the ring copy, and write the sealed header(s). Returns wire bytes.
-  size_t SealSegmentIntoRing(LogStagingBuffer* staging,
-                             const LogBatchSegment& seg, Lsn at);
-  /// Publish one reservation's worth of segments.
-  Lsn PublishChunk(LogStagingBuffer* staging, const LogBatchSegment* segs,
-                   size_t n, size_t total);
+  /// Seal one record into the ring at `at`, the only way a record gets
+  /// there: write the lsn into the unsealed header at `hdr` (in place, so a
+  /// staged header comes out sealed), checksum the header tail, fold the
+  /// payload's CRC into its ring copy, then copy the header. Returns the
+  /// record's wire bytes.
+  size_t SealIntoRing(uint8_t* hdr, const void* payload, Lsn at);
   void CopyIntoRing(Lsn at, const void* src, size_t len);
   /// CopyIntoRing fused with a CRC32C extension over the copied bytes.
   uint32_t CopyIntoRingCrc(Lsn at, const void* src, size_t len, uint32_t crc);

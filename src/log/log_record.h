@@ -24,10 +24,16 @@
 //       26      pad[6]        covered (must be zero)
 //       32      payload [payload_len]  covered
 //
+// Every record, appended alone or published in a batch, carries its own
+// seal; there is no other framing.
+//
 // Torn-write rule: the durable stream is valid up to the first record that
 // fails any check (short header, implausible length, lsn mismatch, CRC
-// mismatch). Everything before that point is trusted; everything from it on
-// is discarded — see RecoveryManager.
+// mismatch), so a cut keeps exactly the complete records before it and
+// discards everything from the cut on — see RecoveryManager. The version is
+// checked after the CRC, so a record of another format version is a
+// complete, checksummed record: recovery fails on it instead of discarding
+// it as a torn tail.
 #pragma once
 
 #include <cstddef>
@@ -51,8 +57,6 @@ enum class LogRecordType : uint8_t {
   kBegin,        ///< transaction begin (no payload)
   kIndexInsert,  ///< index entry add (IndexRedoPayload)
   kIndexRemove,  ///< index entry remove (IndexRedoPayload)
-  kBatchSeal,    ///< envelope: payload is a run of small records sealed
-                 ///< under this record's single CRC (see ForEachEnvelopeRecord)
   kCheckpointBegin,  ///< fuzzy checkpoint opens (CheckpointBeginPayload +
                      ///< active-txn table)
   kCheckpointEnd,    ///< fuzzy checkpoint complete (CheckpointEndPayload);
@@ -64,10 +68,12 @@ enum class LogRecordType : uint8_t {
          ///< (ClrPayload + the inner redo payload); never itself undone
 };
 
-/// Version 2: heap redo payloads grew a before-image (undo information) and
-/// the checkpoint/CLR record types joined the format. Version-1 streams are
-/// rejected by scan — the format is in-tree only, no migration path needed.
-inline constexpr uint8_t kLogFormatVersion = 2;
+/// Version 3: the batch-seal envelope type is gone, which renumbers the
+/// checkpoint and CLR types (version 2 gave heap redo payloads a
+/// before-image and added those types). Recovery of a stream written in any
+/// other version fails with an error naming both versions — the format is
+/// in-tree only, with no migration path.
+inline constexpr uint8_t kLogFormatVersion = 3;
 
 struct LogRecordHeader {
   uint32_t crc;          ///< CRC32C over header bytes [4, 32) + payload
@@ -93,16 +99,25 @@ inline uint32_t ComputeLogRecordCrc(const LogRecordHeader& hdr,
   return c;
 }
 
-/// Build a sealed header for a record starting at `lsn`.
-inline LogRecordHeader MakeLogRecordHeader(uint64_t txn_id, LogRecordType type,
-                                           Lsn lsn, const void* payload,
-                                           uint32_t payload_len) {
+/// An unsealed header: lsn and crc stay zero until the writer knows the
+/// record's stream offset (LogManager seals it in the ring copy).
+inline LogRecordHeader MakeUnsealedHeader(uint64_t txn_id, LogRecordType type,
+                                          uint32_t payload_len) {
   LogRecordHeader hdr{};
   hdr.payload_len = payload_len;
   hdr.txn_id = txn_id;
-  hdr.lsn = lsn;
   hdr.type = static_cast<uint8_t>(type);
   hdr.version = kLogFormatVersion;
+  return hdr;
+}
+
+/// Build a sealed header for a record starting at `lsn`: the reference
+/// sealer tests build streams with.
+inline LogRecordHeader MakeLogRecordHeader(uint64_t txn_id, LogRecordType type,
+                                           Lsn lsn, const void* payload,
+                                           uint32_t payload_len) {
+  LogRecordHeader hdr = MakeUnsealedHeader(txn_id, type, payload_len);
+  hdr.lsn = lsn;
   hdr.crc = ComputeLogRecordCrc(hdr, payload);
   return hdr;
 }
@@ -207,9 +222,8 @@ enum class LogScanStatus : uint8_t {
   kTornPayload,  ///< header decodes but the payload is cut short
   kBadLength,    ///< payload_len fails the sanity bound
   kBadLsn,       ///< header's lsn does not match its stream offset
-  kBadVersion,   ///< unknown format version
+  kBadVersion,   ///< a checksummed record of another format version
   kBadCrc,       ///< checksum mismatch (bit flip or partial overwrite)
-  kBadEnvelope,  ///< kBatchSeal CRC validated but its interior is malformed
 };
 
 inline const char* LogScanStatusName(LogScanStatus s) {
@@ -222,7 +236,6 @@ inline const char* LogScanStatusName(LogScanStatus s) {
     case LogScanStatus::kBadLsn: return "bad_lsn";
     case LogScanStatus::kBadVersion: return "bad_version";
     case LogScanStatus::kBadCrc: return "bad_crc";
-    case LogScanStatus::kBadEnvelope: return "bad_envelope";
   }
   return "?";
 }
@@ -235,7 +248,9 @@ inline constexpr uint32_t kMaxLogPayloadLen = 1u << 20;
 /// Decode the record at byte offset `pos` of `stream` (whose first byte is
 /// log offset `base_lsn`). On kOk fills `hdr` (and `payload` with a pointer
 /// into the stream) — callers must copy payload fields out with memcpy
-/// before use. Any other status means the scan must stop at `pos`.
+/// before use. Any other status means the scan must stop at `pos`. The
+/// version is checked last: the CRC covers it, so kBadVersion means a
+/// complete record of another format, never a garbled or torn one.
 ///
 /// `verify_crc = false` skips the checksum (structural checks only): for
 /// re-walking a prefix that a verifying scan already validated — the CRC
@@ -250,7 +265,6 @@ inline LogScanStatus DecodeLogRecord(const uint8_t* stream, size_t size,
   if (size - pos < sizeof(LogRecordHeader)) return LogScanStatus::kTornHeader;
   std::memcpy(hdr, stream + pos, sizeof(LogRecordHeader));
   if (hdr->payload_len > kMaxLogPayloadLen) return LogScanStatus::kBadLength;
-  if (hdr->version != kLogFormatVersion) return LogScanStatus::kBadVersion;
   if (hdr->lsn != base_lsn + pos) return LogScanStatus::kBadLsn;
   if (size - pos - sizeof(LogRecordHeader) < hdr->payload_len) {
     return LogScanStatus::kTornPayload;
@@ -259,63 +273,9 @@ inline LogScanStatus DecodeLogRecord(const uint8_t* stream, size_t size,
   if (verify_crc && hdr->crc != ComputeLogRecordCrc(*hdr, body)) {
     return LogScanStatus::kBadCrc;
   }
+  if (hdr->version != kLogFormatVersion) return LogScanStatus::kBadVersion;
   *payload = body;
   return LogScanStatus::kOk;
-}
-
-// ---- batch-seal envelopes ---------------------------------------------------
-// A kBatchSeal record's payload is a back-to-back run of ≥ 1 small interior
-// records in the ordinary wire format, except that interior `crc` fields
-// are ZERO: the envelope's single CRC covers the whole run, amortizing the
-// per-record seal over the batch. Interior `lsn` fields are real stream
-// offsets (envelope start + 32 + relative position), so interior records
-// stay self-describing and relocation is still detectable — the envelope
-// CRC covers them. Envelopes never nest.
-//
-// Torn-write rule: the envelope is atomic. A crash that cuts the stream
-// anywhere inside it fails the envelope's own payload/CRC check, so the
-// whole envelope (all interior records) is discarded — there is no state
-// in which a prefix of the run validates.
-
-/// Writers only wrap records at or below this wire size (header+payload)
-/// in an envelope: the seal amortization only matters when the 32-byte
-/// header dominates, and big records keep their own checksum so a scan
-/// failure localizes.
-inline constexpr uint32_t kBatchSealMaxRecordBytes = 64;
-
-/// Bound on one envelope's interior byte run: caps what a single CRC
-/// covers (and what one torn envelope can discard).
-inline constexpr uint32_t kMaxEnvelopePayloadLen = 1u << 16;
-
-static_assert(kMaxEnvelopePayloadLen <= kMaxLogPayloadLen);
-
-/// Walk the interior of a validated kBatchSeal envelope. `interior` is the
-/// envelope's payload (`len` bytes), whose first byte sits at stream offset
-/// `base_lsn`. Calls `fn(const LogRecordHeader&, const uint8_t* payload)`
-/// per interior record. Returns false if the interior is malformed (bad
-/// structure, wrong self-LSN, nested envelope, or an empty run) — callers
-/// must then treat the WHOLE envelope as corrupt, per the torn-write rule.
-/// Interior CRCs are zero by construction and are not checked: the caller
-/// already verified the envelope CRC that covers every interior byte.
-template <typename Fn>
-inline bool ForEachEnvelopeRecord(const uint8_t* interior, uint32_t len,
-                                  Lsn base_lsn, Fn&& fn) {
-  if (len == 0) return false;  // writers never emit an empty envelope
-  size_t pos = 0;
-  LogRecordHeader hdr;
-  const uint8_t* payload = nullptr;
-  while (pos < len) {
-    if (DecodeLogRecord(interior, len, pos, base_lsn, &hdr, &payload,
-                        /*verify_crc=*/false) != LogScanStatus::kOk) {
-      return false;
-    }
-    if (hdr.type == static_cast<uint8_t>(LogRecordType::kBatchSeal)) {
-      return false;  // no nesting
-    }
-    fn(static_cast<const LogRecordHeader&>(hdr), payload);
-    pos += sizeof(LogRecordHeader) + hdr.payload_len;
-  }
-  return true;  // the run ends exactly at the envelope boundary
 }
 
 }  // namespace slidb

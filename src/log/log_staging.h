@@ -2,9 +2,8 @@
 // (headers unsealed — lsn and crc zero) instead of paying a ring
 // reservation each. LogManager::AppendBatch publishes the records staged
 // since its previous call under ONE reservation fetch-add and one
-// publish-slot handoff, sealing every record (lsn patch + CRC) inside the
-// ring copy loop and wrapping runs of small records in kBatchSeal
-// envelopes (log_record.h).
+// publish-slot handoff, sealing each record (lsn patch + CRC) in its ring
+// copy exactly as Append seals a record appended alone.
 //
 // The buffer keeps every record, published or not, until Clear(): a
 // transaction's buffer is its undo log, walked newest first on abort
@@ -25,21 +24,6 @@
 
 namespace slidb {
 
-/// One publish unit of a staged batch: either a single individually-sealed
-/// record or a kBatchSeal envelope covering `count` staged records whose
-/// bytes span [stage_off, stage_off + stage_len) of the staging buffer.
-struct LogBatchSegment {
-  uint32_t count;
-  uint32_t stage_off;
-  uint32_t stage_len;
-  bool envelope;
-
-  uint32_t wire_bytes() const {
-    return stage_len +
-           (envelope ? static_cast<uint32_t>(sizeof(LogRecordHeader)) : 0);
-  }
-};
-
 class LogStagingBuffer {
  public:
   /// Append one record to the staged batch. The header is written with
@@ -56,11 +40,7 @@ class LogStagingBuffer {
       std::abort();
     }
     offsets_.push_back(static_cast<uint32_t>(buf_.size()));
-    LogRecordHeader hdr{};
-    hdr.payload_len = payload_len;
-    hdr.txn_id = txn_id;
-    hdr.type = static_cast<uint8_t>(type);
-    hdr.version = kLogFormatVersion;
+    const LogRecordHeader hdr = MakeUnsealedHeader(txn_id, type, payload_len);
     const auto* h = reinterpret_cast<const uint8_t*>(&hdr);
     buf_.insert(buf_.end(), h, h + sizeof(hdr));
     if (payload_len > 0) {
@@ -105,9 +85,6 @@ class LogStagingBuffer {
   /// Records [0, published_) went out in an earlier AppendBatch (their
   /// headers carry their LSNs); the rest are unsealed.
   size_t published_ = 0;
-  /// Publish-plan scratch, reused across batches so AppendBatch never
-  /// allocates on the commit path (single owner, like the buffer itself).
-  std::vector<LogBatchSegment> seg_scratch_;
 };
 
 }  // namespace slidb

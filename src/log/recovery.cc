@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <string>
 
 #include "src/stats/counters.h"
 #include "src/stats/profiler.h"
@@ -94,39 +95,24 @@ const RecoveryReport& RecoveryManager::Scan() {
   LogRecordHeader hdr;
   const uint8_t* payload = nullptr;
   for (;;) {
-    LogScanStatus st =
+    const LogScanStatus st =
         DecodeLogRecord(data_, size_, pos, base_lsn_, &hdr, &payload);
-    if (st == LogScanStatus::kOk &&
-        hdr.type == static_cast<uint8_t>(LogRecordType::kBatchSeal)) {
-      // Validate the envelope (its CRC just passed, covering every interior
-      // byte), then trust the interior: per-record CRCs are zero and are
-      // not re-checked, but interior structure and self-LSNs must hold. A
-      // malformed interior behind a valid CRC is a writer bug or a crafted
-      // stream — treat it exactly like a torn record at the envelope.
-      // Validate the whole run BEFORE noting any interior record, so a bad
-      // envelope contributes nothing to the committed set.
-      const Lsn interior_base = hdr.lsn + sizeof(LogRecordHeader);
-      if (ForEachEnvelopeRecord(payload, hdr.payload_len, interior_base,
-                                [](const LogRecordHeader&, const uint8_t*) {
-                                })) {
-        (void)ForEachEnvelopeRecord(
-            payload, hdr.payload_len, interior_base,
-            [&](const LogRecordHeader& inner, const uint8_t* inner_payload) {
-              NoteScanned(inner, inner_payload);
-            });
-      } else {
-        st = LogScanStatus::kBadEnvelope;
-      }
-    } else if (st == LogScanStatus::kOk) {
-      NoteScanned(hdr, payload);
-    }
     if (st != LogScanStatus::kOk) {
       report_.tail_status = st;
-      if (st != LogScanStatus::kEndOfStream) {
-        // Torn-write rule: the stream is trusted only up to here. Count the
-        // corrupt tail — the sweep tests assert this fires exactly when a
-        // crash lands inside a record. A cut inside an envelope discards
-        // the whole envelope (its CRC cannot validate on a prefix).
+      if (st == LogScanStatus::kBadVersion) {
+        // A complete, checksummed record of another format: not a torn
+        // tail. Discarding it would drop whatever that log acknowledged, so
+        // Replay refuses to run.
+        scan_error_ = Status::NotSupported(
+            "log record at lsn " + std::to_string(base_lsn_ + pos) +
+            " has format version " + std::to_string(hdr.version) +
+            "; this build reads version " +
+            std::to_string(kLogFormatVersion));
+      } else if (st != LogScanStatus::kEndOfStream) {
+        // Torn-write rule: the stream is trusted only up to here, so a cut
+        // keeps exactly the complete records before it. Count the corrupt
+        // tail — the sweep tests assert this fires exactly when a crash
+        // lands inside a record.
         report_.torn_tail = true;
         report_.tail_bytes_discarded = size_ - pos;
         CountEvent(Counter::kLogChecksumFail);
@@ -134,6 +120,7 @@ const RecoveryReport& RecoveryManager::Scan() {
       }
       break;
     }
+    NoteScanned(hdr, payload);
     pos += sizeof(LogRecordHeader) + hdr.payload_len;
     report_.valid_prefix_end = base_lsn_ + pos;
   }
@@ -303,9 +290,6 @@ Status ApplyRedo(Catalog* catalog, const LogRecordHeader& hdr,
     case LogRecordType::kCheckpointBegin:
     case LogRecordType::kCheckpointEnd:
       return Status::OK();
-    case LogRecordType::kBatchSeal:
-      // WalkValidPrefix hands callers interior records, never the envelope.
-      return Status::Corruption("batch-seal envelope reached redo");
   }
   return Status::Corruption("unknown record type survived scan");
 }
@@ -367,22 +351,7 @@ Status RecoveryManager::WalkValidPrefix(
                         /*verify_crc=*/false) != LogScanStatus::kOk) {
       return Status::Corruption("validated prefix failed to re-decode");
     }
-    if (hdr.type == static_cast<uint8_t>(LogRecordType::kBatchSeal)) {
-      // Descend: callers see interior records in log order, exactly as if
-      // they had been appended individually.
-      Status st = Status::OK();
-      const bool ok = ForEachEnvelopeRecord(
-          payload, hdr.payload_len, hdr.lsn + sizeof(LogRecordHeader),
-          [&](const LogRecordHeader& inner, const uint8_t* inner_payload) {
-            if (st.ok()) st = fn(inner, inner_payload);
-          });
-      if (!ok) {
-        return Status::Corruption("validated envelope failed to re-decode");
-      }
-      SLIDB_RETURN_NOT_OK(st);
-    } else {
-      SLIDB_RETURN_NOT_OK(fn(hdr, payload));
-    }
+    SLIDB_RETURN_NOT_OK(fn(hdr, payload));
     pos += sizeof(LogRecordHeader) + hdr.payload_len;
   }
   return Status::OK();
@@ -391,6 +360,7 @@ Status RecoveryManager::WalkValidPrefix(
 Status RecoveryManager::Replay(Catalog* catalog, const ClrSink& sink) {
   ScopedComponent comp(Component::kLog);
   Scan();
+  SLIDB_RETURN_NOT_OK(scan_error_);
 
   // Redo: repeating history from the checkpoint anchor. Loser records are
   // collected on the way for the undo pass (payload pointers stay valid —

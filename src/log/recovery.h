@@ -8,11 +8,15 @@
 //
 // Passes:
 //   1. Analysis (Scan): walk records front to back, validating each
-//      (length sanity, self-LSN, format version, CRC32C). Stop at the first
+//      (length sanity, self-LSN, CRC32C, format version). Stop at the first
 //      failure — by the torn-write rule everything from that byte on is
-//      discarded. Collect the committed and durably-aborted transaction
-//      sets, and locate the LAST COMPLETE checkpoint (a kCheckpointBegin /
-//      kCheckpointEnd pair wholly inside the valid prefix).
+//      discarded, so a cut keeps exactly the complete records before it.
+//      The one exception is a checksummed record of another format
+//      version: it is no torn tail, and Replay fails on it (NotSupported)
+//      rather than discard it. Collect the committed and durably-aborted
+//      transaction sets, and locate the LAST COMPLETE checkpoint (a
+//      kCheckpointBegin / kCheckpointEnd pair wholly inside the valid
+//      prefix).
 //   2. Redo (Replay): repeating history from the checkpoint's redo-start
 //      LSN — min(checkpoint begin LSN, first LSN of every transaction in
 //      the checkpoint's active-txn table) — or from the stream base when no
@@ -133,8 +137,9 @@ class RecoveryManager {
   /// then undo losers, emitting one CLR per undo step through `sink` (may
   /// be null: harness recoveries that rebuild into a throwaway catalog
   /// don't keep a new log). Calls Scan() if it has not run. Returns
-  /// Corruption if a validated record's payload does not decode (schema
-  /// mismatch between the log and the catalog).
+  /// NotSupported, applying nothing, if the scan stopped at a record of
+  /// another format version, and Corruption if a validated record's payload
+  /// does not decode (schema mismatch between the log and the catalog).
   Status Replay(Catalog* catalog, const ClrSink& sink = nullptr);
 
   const RecoveryReport& report() const { return report_; }
@@ -158,9 +163,8 @@ class RecoveryManager {
     bool complete = false;
   };
 
-  /// Fold one scanned record (top-level or envelope-interior) into the
-  /// committed/aborted/seen and checkpoint bookkeeping. `lsn` is the
-  /// record's own stream offset.
+  /// Fold one scanned record into the committed/aborted/seen and
+  /// checkpoint bookkeeping.
   void NoteScanned(const LogRecordHeader& hdr, const uint8_t* payload);
 
   /// Walk the Scan-validated prefix (structural decode only, no CRC) from
@@ -177,6 +181,8 @@ class RecoveryManager {
   size_t size_ = 0;
   Lsn base_lsn_;
   bool scanned_ = false;
+  /// Set by Scan when it stops at a record of another format version.
+  Status scan_error_;
   std::unordered_set<uint64_t> committed_;
   std::unordered_set<uint64_t> aborted_;
   std::unordered_set<uint64_t> seen_;

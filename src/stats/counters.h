@@ -59,8 +59,8 @@ enum class Counter : uint32_t {
   kLogBatchAppends,         ///< batch publications (one ring reservation
                             ///< each; AppendBatch chunks count individually)
   kLogBatchRecords,         ///< records published through batch appends
-  kLogBatchBytes,           ///< wire bytes published through batch appends
-                            ///< (envelope headers included)
+  kLogBatchBytes,           ///< wire bytes of the records published
+                            ///< through batch appends
 
   // -- crash recovery --
   kRecoveryRecordsScanned,  ///< valid records decoded from the durable log

@@ -50,17 +50,12 @@ class Transaction {
 
   LockClient& lock_client() { return lock_client_; }
 
-  /// Bytes of log payload this transaction appended (stats only).
-  void AddLogBytes(size_t n) { log_bytes_ += n; }
-  size_t log_bytes() const { return log_bytes_; }
-
  private:
   friend class TransactionManager;
 
   void Reset(uint64_t id, uint32_t agent_id) {
     id_ = id;
     state_ = TxnState::kActive;
-    log_bytes_ = 0;
     begin_logged_ = false;
     staging_.Clear();
     // Publish order matters for the checkpointer's ATT snapshot: the slot
@@ -79,7 +74,6 @@ class Transaction {
   uint64_t id_ = 0;
   TxnState state_ = TxnState::kIdle;
   LockClient lock_client_;
-  size_t log_bytes_ = 0;
   /// kBegin is emitted lazily with the first mutation record, so read-only
   /// transactions put nothing in the log append path.
   bool begin_logged_ = false;

@@ -128,7 +128,6 @@ void TransactionManager::LogHeapOp(AgentContext* agent, LogRecordType type,
   const auto total =
       static_cast<uint32_t>(sizeof(row) + before.size() + image.size());
   EmitRecord(agent->txn(), type, buf, total);
-  agent->txn().AddLogBytes(total);
 }
 
 void TransactionManager::LogIndexOp(AgentContext* agent, LogRecordType type,
@@ -140,7 +139,6 @@ void TransactionManager::LogIndexOp(AgentContext* agent, LogRecordType type,
   entry.key = key;
   entry.value = value;
   EmitRecord(agent->txn(), type, &entry, static_cast<uint32_t>(sizeof(entry)));
-  agent->txn().AddLogBytes(sizeof(entry));
 }
 
 Lsn TransactionManager::CommitLogInsert(Transaction& txn) {

@@ -42,9 +42,9 @@ struct TxnOptions {
   /// A transaction's redo records accumulate in its private staging buffer
   /// and publish as ONE batch reservation at commit (the commit record
   /// rides the same batch, after the redo records, so ELR ordering is
-  /// untouched); small records share a kBatchSeal checksum. The records
-  /// staged since the last publish go out early once they reach this many
-  /// bytes, so a long transaction cannot overflow the ring in one batch.
+  /// untouched), each record under its own checksum. The records staged
+  /// since the last publish go out early once they reach this many bytes,
+  /// so a long transaction cannot overflow the ring in one batch.
   /// The buffer still keeps every record until the transaction ends: it is
   /// the undo log an abort walks. Orders of magnitude below the default
   /// 8 MiB ring; 1 publishes every record at operation time.

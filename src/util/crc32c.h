@@ -17,8 +17,8 @@ namespace slidb {
 uint32_t Crc32c(uint32_t crc, const void* data, size_t len);
 
 /// memcpy(dst, src, len) fused with a Crc32c extension over the same bytes
-/// in one pass — the batch-publish seal rides the ring copy loop instead of
-/// re-reading the record. Composes exactly like Crc32c. `dst` and `src`
+/// in one pass — a record's seal rides its ring copy instead of re-reading
+/// the record. Composes exactly like Crc32c. `dst` and `src`
 /// must not overlap.
 uint32_t Crc32cCopy(uint32_t crc, void* dst, const void* src, size_t len);
 

@@ -46,9 +46,8 @@ struct ParsedRecord {
 
 /// Parse a captured stream back into records through the real wire-format
 /// validator (CRC32C + self-LSN + version checks on every record); fails
-/// the test on a torn, corrupt, or truncated record. kBatchSeal envelopes
-/// are validated, then their interior records surfaced individually —
-/// exactly the scanner's view.
+/// the test on a torn, corrupt, or truncated record — exactly the scanner's
+/// view.
 std::vector<ParsedRecord> ParseStream(const std::vector<uint8_t>& bytes) {
   std::vector<ParsedRecord> out;
   size_t pos = 0;
@@ -63,25 +62,11 @@ std::vector<ParsedRecord> ParseStream(const std::vector<uint8_t>& bytes) {
                     << LogScanStatusName(st);
       break;
     }
-    if (hdr.type == static_cast<uint8_t>(LogRecordType::kBatchSeal)) {
-      EXPECT_TRUE(ForEachEnvelopeRecord(
-          payload, hdr.payload_len, hdr.lsn + sizeof(LogRecordHeader),
-          [&](const LogRecordHeader& inner, const uint8_t* inner_payload) {
-            ParsedRecord r;
-            r.txn_id = inner.txn_id;
-            r.type = inner.type;
-            r.payload.assign(inner_payload,
-                             inner_payload + inner.payload_len);
-            out.push_back(std::move(r));
-          }))
-          << "malformed envelope interior at " << pos;
-    } else {
-      ParsedRecord r;
-      r.txn_id = hdr.txn_id;
-      r.type = hdr.type;
-      r.payload.assign(payload, payload + hdr.payload_len);
-      out.push_back(std::move(r));
-    }
+    ParsedRecord r;
+    r.txn_id = hdr.txn_id;
+    r.type = hdr.type;
+    r.payload.assign(payload, payload + hdr.payload_len);
+    out.push_back(std::move(r));
     pos += sizeof(LogRecordHeader) + hdr.payload_len;
   }
   return out;
@@ -340,31 +325,25 @@ TEST(LogPipelineTest, SequenceNumberWrapAt2To20Records) {
   EXPECT_EQ(log.Stats().records, kTotal + 1);
 }
 
-TEST(LogBatchTest, EnvelopeFormationSealsSmallRunsUnderOneCrc) {
-  // One batch of [8 tiny][1 big][8 tiny] records must publish as exactly
-  // three outer records — envelope, plain, envelope — with interior
-  // records carrying real stream LSNs and ZERO crc fields (the envelope's
-  // checksum is the only seal covering them).
+TEST(LogBatchTest, EveryBatchedRecordIsSealedAlone) {
+  // One batch of [8 tiny][1 big][8 tiny] records rides ONE reservation, yet
+  // every record must come out sealed on its own: cut out of the stream,
+  // each one still passes the validator at its own LSN.
   StreamCapture capture;
   LogOptions o;
   o.flush_interval_us = 20;
   capture.Install(&o);
 
+  std::vector<std::vector<uint8_t>> payloads;
+  for (uint32_t i = 0; i < 17; ++i) {
+    payloads.push_back(PayloadFor(1, i, i == 8 ? 200 : 8));
+  }
   CounterSet counters;
   {
     ScopedCounterSet routed(&counters);
     LogManager log(o);
     LogStagingBuffer staging;
-    for (uint32_t i = 0; i < 8; ++i) {
-      const std::vector<uint8_t> p = PayloadFor(1, i, 8);
-      staging.Stage(42, LogRecordType::kUpdate, p.data(),
-                    static_cast<uint32_t>(p.size()));
-    }
-    const std::vector<uint8_t> big = PayloadFor(1, 100, 200);
-    staging.Stage(42, LogRecordType::kUpdate, big.data(),
-                  static_cast<uint32_t>(big.size()));
-    for (uint32_t i = 8; i < 16; ++i) {
-      const std::vector<uint8_t> p = PayloadFor(1, i, 8);
+    for (const std::vector<uint8_t>& p : payloads) {
       staging.Stage(42, LogRecordType::kUpdate, p.data(),
                     static_cast<uint32_t>(p.size()));
     }
@@ -377,56 +356,41 @@ TEST(LogBatchTest, EnvelopeFormationSealsSmallRunsUnderOneCrc) {
     EXPECT_EQ(staging.unpublished_bytes(), 0u);
     log.AppendBatch(&staging);
     log.WaitDurable(end);
-    EXPECT_EQ(log.Stats().records, 17u);  // interior records count
+    EXPECT_EQ(log.Stats().records, 17u);
   }
 
   EXPECT_EQ(counters.Get(Counter::kLogBatchAppends), 1u);  // ONE reservation
   EXPECT_EQ(counters.Get(Counter::kLogBatchRecords), 17u);
   EXPECT_EQ(counters.Get(Counter::kLogBatchBytes), capture.bytes.size());
 
-  // Outer structure: envelope, plain, envelope.
-  std::vector<uint8_t> outer_types;
   size_t pos = 0;
-  LogRecordHeader hdr;
-  const uint8_t* payload = nullptr;
-  while (DecodeLogRecord(capture.bytes.data(), capture.bytes.size(), pos, 0,
-                         &hdr, &payload) == LogScanStatus::kOk) {
-    outer_types.push_back(hdr.type);
-    if (hdr.type == static_cast<uint8_t>(LogRecordType::kBatchSeal)) {
-      // Interior records: zero crc, self-describing stream LSNs.
-      size_t rel = 0;
-      while (rel < hdr.payload_len) {
-        LogRecordHeader inner;
-        std::memcpy(&inner, payload + rel, sizeof(inner));
-        EXPECT_EQ(inner.crc, 0u);
-        EXPECT_EQ(inner.lsn, hdr.lsn + sizeof(LogRecordHeader) + rel);
-        rel += sizeof(LogRecordHeader) + inner.payload_len;
-      }
-      EXPECT_EQ(rel, hdr.payload_len);
-    }
-    pos += sizeof(LogRecordHeader) + hdr.payload_len;
+  for (uint32_t i = 0; i < 17; ++i) {
+    ASSERT_LE(pos + sizeof(LogRecordHeader), capture.bytes.size());
+    LogRecordHeader hdr;
+    std::memcpy(&hdr, capture.bytes.data() + pos, sizeof(hdr));
+    const size_t len = sizeof(LogRecordHeader) + hdr.payload_len;
+    ASSERT_LE(pos + len, capture.bytes.size()) << "record " << i;
+    const std::vector<uint8_t> alone(capture.bytes.begin() + pos,
+                                     capture.bytes.begin() + pos + len);
+    const uint8_t* payload = nullptr;
+    ASSERT_EQ(DecodeLogRecord(alone.data(), alone.size(), 0, /*base_lsn=*/pos,
+                              &hdr, &payload),
+              LogScanStatus::kOk)
+        << "record " << i << " at " << pos << " is not sealed on its own";
+    EXPECT_EQ(hdr.txn_id, 42u);
+    EXPECT_EQ(hdr.type, static_cast<uint8_t>(LogRecordType::kUpdate));
+    EXPECT_EQ(std::vector<uint8_t>(payload, payload + hdr.payload_len),
+              payloads[i])
+        << "record " << i;
+    pos += len;
   }
-  ASSERT_EQ(outer_types.size(), 3u);
-  EXPECT_EQ(outer_types[0], static_cast<uint8_t>(LogRecordType::kBatchSeal));
-  EXPECT_EQ(outer_types[1], static_cast<uint8_t>(LogRecordType::kUpdate));
-  EXPECT_EQ(outer_types[2], static_cast<uint8_t>(LogRecordType::kBatchSeal));
-
-  // Logical view: all 17 records, in order, bytes intact.
-  const std::vector<ParsedRecord> records = ParseStream(capture.bytes);
-  ASSERT_EQ(records.size(), 17u);
-  for (uint32_t i = 0; i < 8; ++i) {
-    EXPECT_EQ(records[i].payload, PayloadFor(1, i, 8));
-  }
-  EXPECT_EQ(records[8].payload, PayloadFor(1, 100, 200));
-  for (uint32_t i = 8; i < 16; ++i) {
-    EXPECT_EQ(records[i + 1].payload, PayloadFor(1, i, 8));
-  }
+  EXPECT_EQ(pos, capture.bytes.size());
 }
 
 TEST(LogBatchTest, MultiWriterBatchInterleavingThroughRealValidator) {
-  // Several writers publishing whole batches (tiny records → envelopes,
-  // plus occasional big records → plain segments), interleaved with a
-  // per-record appender, over a small ring. The durable stream must decode
+  // Several writers publishing whole batches (tiny records plus an
+  // occasional big one), interleaved with a per-record appender, over a
+  // small ring. The durable stream must decode
   // through the real validator with every writer's records in program
   // order AND each batch's records contiguous — one reservation, one
   // extent. TSan target (this suite runs under TSan in CI).

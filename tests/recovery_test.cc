@@ -424,12 +424,8 @@ TEST(RecoverySweepTest, TruncationAtEveryByteYieldsACommittedPrefix) {
 
   // Pre-compute the set of record boundaries from a full scan: truncating
   // exactly at a boundary is a clean end; anywhere else must be reported
-  // (and counted) as a corrupt tail. Under staged logging the workload's
-  // small records publish inside kBatchSeal envelopes — assert the sweep
-  // actually covers them (a cut inside an envelope is a non-boundary cut
-  // that must discard the whole envelope).
+  // (and counted) as a corrupt tail.
   std::set<size_t> boundaries{0};
-  size_t envelopes = 0;
   {
     RecoveryManager rm(stream);
     const RecoveryReport& r = rm.Scan();
@@ -439,15 +435,10 @@ TEST(RecoverySweepTest, TruncationAtEveryByteYieldsACommittedPrefix) {
     const uint8_t* payload = nullptr;
     while (DecodeLogRecord(stream.data(), stream.size(), pos, 0, &hdr,
                            &payload) == LogScanStatus::kOk) {
-      if (hdr.type == static_cast<uint8_t>(LogRecordType::kBatchSeal)) {
-        ++envelopes;
-      }
       pos += sizeof(LogRecordHeader) + hdr.payload_len;
       boundaries.insert(pos);
     }
     ASSERT_EQ(pos, stream.size());
-    ASSERT_GT(envelopes, 0u)
-        << "staged logging should have produced batch-seal envelopes";
   }
 
   for (size_t cut = 0; cut <= stream.size(); ++cut) {
@@ -512,18 +503,19 @@ TEST(RecoverySweepTest, MidStreamBitFlipsYieldACommittedPrefix) {
   }
 }
 
-TEST(RecoverySweepTest, BatchedEnvelopeStreamTruncationSweep) {
+TEST(RecoverySweepTest, BatchedStreamTruncationSweep) {
   // A purely batched stream straight through LogManager::AppendBatch: each
-  // txn is one batch of small records (begin + 3 index inserts + commit),
-  // publishing as exactly one kBatchSeal envelope. Truncate at every byte:
-  // a cut anywhere strictly inside an envelope must discard the WHOLE
-  // envelope — the committed count and replayed state always correspond to
-  // complete envelopes, never to a prefix of one's interior.
+  // txn is one batch (begin + 3 index inserts + commit) under one
+  // reservation. Truncate at every byte: a cut keeps exactly the complete
+  // records before it, a txn counts as committed iff its commit record is
+  // complete, and replay leaves exactly the committed txns' entries (a txn
+  // cut after some of its inserts is a loser and is undone).
   InMemoryLogDevice device;
   LogOptions o;
   o.flush_interval_us = 20;
   AttachLogDevice(&o, &device);
   constexpr uint64_t kTxns = 10;
+  constexpr uint64_t kRecordsPerTxn = 5;
   {
     LogManager log(o);
     LogStagingBuffer staging;
@@ -547,50 +539,52 @@ TEST(RecoverySweepTest, BatchedEnvelopeStreamTruncationSweep) {
   std::vector<uint8_t> stream;
   ASSERT_TRUE(device.ReadAll(&stream).ok());
 
-  // Outer walk: the stream must be all envelopes; note each one's end.
-  std::vector<size_t> envelope_ends;
+  // The stream is nothing but the staged records, each sealed on its own;
+  // note where each one ends.
+  std::vector<size_t> record_ends;
   {
     size_t pos = 0;
     LogRecordHeader hdr;
     const uint8_t* payload = nullptr;
     while (DecodeLogRecord(stream.data(), stream.size(), pos, 0, &hdr,
                            &payload) == LogScanStatus::kOk) {
-      ASSERT_EQ(hdr.type, static_cast<uint8_t>(LogRecordType::kBatchSeal));
       pos += sizeof(LogRecordHeader) + hdr.payload_len;
-      envelope_ends.push_back(pos);
+      record_ends.push_back(pos);
     }
-    ASSERT_EQ(envelope_ends.size(), kTxns);
-    ASSERT_EQ(envelope_ends.back(), stream.size());
+    ASSERT_EQ(record_ends.size(), kTxns * kRecordsPerTxn);
+    ASSERT_EQ(record_ends.back(), stream.size());
   }
 
   for (size_t cut = 0; cut <= stream.size(); ++cut) {
     CounterSet counters;
     ScopedCounterSet routed(&counters);
-    // k = number of COMPLETE envelopes inside the cut; that — and nothing
-    // partial — is what recovery may trust.
-    size_t k = 0;
-    while (k < envelope_ends.size() && envelope_ends[k] <= cut) ++k;
-    const bool at_boundary = cut == 0 || (k > 0 && envelope_ends[k - 1] == cut);
+    // n = complete records inside the cut; txn t's commit is record
+    // t * kRecordsPerTxn - 1, so the committed txns are the first
+    // n / kRecordsPerTxn.
+    size_t n = 0;
+    while (n < record_ends.size() && record_ends[n] <= cut) ++n;
+    const bool at_boundary = cut == 0 || (n > 0 && record_ends[n - 1] == cut);
+    const uint64_t committed = n / kRecordsPerTxn;
 
     RecoveryManager rm(
         std::vector<uint8_t>(stream.begin(), stream.begin() + cut));
     const RecoveryReport& r = rm.Scan();
-    EXPECT_EQ(r.committed_txns, k) << "cut=" << cut;
-    EXPECT_EQ(r.records_scanned, k * 5) << "cut=" << cut;
+    EXPECT_EQ(r.records_scanned, n) << "cut=" << cut;
+    EXPECT_EQ(r.committed_txns, committed) << "cut=" << cut;
     EXPECT_EQ(r.torn_tail, !at_boundary) << "cut=" << cut;
     EXPECT_EQ(counters.Get(Counter::kLogChecksumFail), at_boundary ? 0u : 1u)
         << "cut=" << cut;
     for (uint64_t txn = 1; txn <= kTxns; ++txn) {
-      EXPECT_EQ(rm.IsCommitted(txn), txn <= k) << "cut=" << cut;
+      EXPECT_EQ(rm.IsCommitted(txn), txn <= committed) << "cut=" << cut;
     }
 
-    // Replay: exactly the complete envelopes' index entries, in order.
+    // Replay: exactly the committed txns' index entries.
     RecoveryTarget target;
     const TableId t = target.AddTable();
     const IndexId idx = target.AddBTree(t);
     ASSERT_TRUE(rm.Replay(&target.catalog).ok()) << "cut=" << cut;
     IndexSet want;
-    for (uint64_t txn = 1; txn <= k; ++txn) {
+    for (uint64_t txn = 1; txn <= committed; ++txn) {
       for (uint64_t e = 0; e < 3; ++e) want.emplace(txn * 100 + e, txn);
     }
     EXPECT_EQ(DumpBTree(target.catalog, idx), want) << "cut=" << cut;
@@ -931,6 +925,72 @@ TEST(RecoveryEngineDeathTest, TrafficBeforeRecoverOnAnExistingLogFailsStop) {
   RemoveSegmentFiles(path);
 }
 
+TEST(RecoveryEngineTest, OtherFormatVersionFailsRecoverAndKeepsTheLog) {
+  // A checksummed record of another format version is no torn tail:
+  // treating it as one would recover nothing, and the opening checkpoint
+  // would then make the empty new generation authoritative and drop the log
+  // that holds every acknowledged commit. Recovery must fail instead and
+  // leave the path's log as it was.
+  const std::string path = "slidb_other_format_version.log";
+  constexpr uint64_t kRows = 5;
+  RemoveSegmentFiles(path);
+  DatabaseOptions o = TestOptions();
+  o.log_path = path;
+  RowMap committed;
+  {  // Run 1: a generation of the current version.
+    Database db(o);
+    const TableId t = db.CreateTable("t");
+    auto agent = db.CreateAgent();
+    for (uint64_t i = 0; i < kRows; ++i) {
+      const std::string row = "row-" + std::to_string(i);
+      Rid rid;
+      db.Begin(agent.get());
+      ASSERT_TRUE(db.Insert(agent.get(), t, Bytes(row), &rid).ok());
+      ASSERT_TRUE(db.Commit(agent.get()).ok());
+      committed[rid.ToU64()] = row;
+    }
+  }
+  // A committed insert, every record sealed at the previous version.
+  std::vector<uint8_t> stream;
+  AppendRecord(&stream, 1, LogRecordType::kBegin, nullptr, 0);
+  AppendHeapInsert(&stream, 1, 0, Rid{0, 0}, "old-fmt.");
+  AppendRecord(&stream, 1, LogRecordType::kCommit, nullptr, 0);
+  for (size_t pos = 0; pos < stream.size();) {
+    LogRecordHeader hdr;
+    std::memcpy(&hdr, stream.data() + pos, sizeof(hdr));
+    hdr.version = kLogFormatVersion - 1;
+    hdr.crc = ComputeLogRecordCrc(hdr, stream.data() + pos + sizeof(hdr));
+    std::memcpy(stream.data() + pos, &hdr, sizeof(hdr));
+    pos += sizeof(hdr) + hdr.payload_len;
+  }
+  {  // Run 2: recovering that stream on the same path fails.
+    Database db(o);
+    db.CreateTable("t");
+    RecoveryReport report;
+    const Status st = db.RecoverFromStream(stream, &report);
+    EXPECT_TRUE(st.IsNotSupported()) << st.ToString();
+    EXPECT_NE(st.message().find(
+                  "format version " + std::to_string(kLogFormatVersion - 1)),
+              std::string::npos)
+        << st.ToString();
+    EXPECT_NE(st.message().find("reads version " +
+                                std::to_string(kLogFormatVersion)),
+              std::string::npos)
+        << st.ToString();
+    EXPECT_EQ(report.tail_status, LogScanStatus::kBadVersion);
+    EXPECT_FALSE(report.torn_tail);
+  }
+  {  // Run 3: recovery still reads run 1's generation in full.
+    Database db(o);
+    const TableId t = db.CreateTable("t");
+    RecoveryReport report;
+    ASSERT_TRUE(db.Recover(path, &report).ok());
+    EXPECT_EQ(report.committed_txns, kRows);
+    EXPECT_EQ(DumpHeap(db.catalog(), t), committed);
+  }
+  RemoveSegmentFiles(path);
+}
+
 TEST(RecoveryEngineDeathTest, LogPathWithZeroSegmentBytesFailsStopAtOpen) {
   // A durable log was asked for, so a capacity the device cannot use is
   // fatal at construction rather than a silent switch to no log at all.
@@ -1144,18 +1204,7 @@ struct DurabilityAudit {
       const uint8_t* payload = nullptr;
       while (DecodeLogRecord(bytes.data(), bytes.size(), parsed, 0, &hdr,
                              &payload) == LogScanStatus::kOk) {
-        if (hdr.type == static_cast<uint8_t>(LogRecordType::kBatchSeal)) {
-          // Commit records of batched transactions live INSIDE the
-          // envelope; the audit must see through it like the scanner does.
-          EXPECT_TRUE(ForEachEnvelopeRecord(
-              payload, hdr.payload_len, hdr.lsn + sizeof(LogRecordHeader),
-              [&](const LogRecordHeader& inner, const uint8_t*) {
-                if (inner.type ==
-                    static_cast<uint8_t>(LogRecordType::kCommit)) {
-                  committed.insert(inner.txn_id);
-                }
-              }));
-        } else if (hdr.type == static_cast<uint8_t>(LogRecordType::kCommit)) {
+        if (hdr.type == static_cast<uint8_t>(LogRecordType::kCommit)) {
           committed.insert(hdr.txn_id);
         }
         parsed += sizeof(LogRecordHeader) + hdr.payload_len;

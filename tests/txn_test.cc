@@ -382,7 +382,7 @@ struct CapturingFlushGate {
     cv.notify_all();
   }
   /// True iff a commit record of `txn_id` is parseable from the captured
-  /// durable stream (envelopes are looked through, like the scanner does).
+  /// durable stream.
   bool HasDurableCommit(uint64_t txn_id) {
     std::lock_guard<std::mutex> g(mu);
     bool found = false;
@@ -391,17 +391,8 @@ struct CapturingFlushGate {
     const uint8_t* payload = nullptr;
     while (DecodeLogRecord(bytes.data(), bytes.size(), pos, 0, &hdr,
                            &payload) == LogScanStatus::kOk) {
-      if (hdr.type == static_cast<uint8_t>(LogRecordType::kBatchSeal)) {
-        ForEachEnvelopeRecord(
-            payload, hdr.payload_len, hdr.lsn + sizeof(LogRecordHeader),
-            [&](const LogRecordHeader& inner, const uint8_t*) {
-              if (inner.type == static_cast<uint8_t>(LogRecordType::kCommit) &&
-                  inner.txn_id == txn_id) {
-                found = true;
-              }
-            });
-      } else if (hdr.type == static_cast<uint8_t>(LogRecordType::kCommit) &&
-                 hdr.txn_id == txn_id) {
+      if (hdr.type == static_cast<uint8_t>(LogRecordType::kCommit) &&
+          hdr.txn_id == txn_id) {
         found = true;
       }
       pos += sizeof(LogRecordHeader) + hdr.payload_len;
@@ -557,19 +548,6 @@ TEST(TxnTest, WriterAbortAfterSpeculativeReadLeavesNoDependency) {
   EXPECT_EQ(rc.Get(Counter::kTxnDeferredAcks), 0u);
   EXPECT_EQ(reader.deferred_acks().outstanding(), 0u);
   gate.Open();  // release any held pass for clean shutdown
-}
-
-TEST(TxnTest, LogBytesTracked) {
-  TxnHarness h;
-  AgentContext agent(0);
-  Transaction* t = h.txn_manager->Begin(&agent);
-  t->AddLogBytes(128);
-  t->AddLogBytes(64);
-  EXPECT_EQ(t->log_bytes(), 192u);
-  ASSERT_TRUE(h.txn_manager->Commit(&agent).ok());
-  h.txn_manager->Begin(&agent);
-  EXPECT_EQ(t->log_bytes(), 0u);  // reset per transaction
-  h.txn_manager->Abort(&agent);
 }
 
 }  // namespace
