@@ -27,7 +27,7 @@ struct PaperWorkload {
 
 inline DatabaseOptions BenchDbOptions(bool sli) {
   DatabaseOptions o;
-  o.lock.enable_sli = sli;
+  o.lock.sli_mode = sli ? SliMode::kOn : SliMode::kOff;
   o.lock.lock_timeout_us = 5'000'000;
   // Simulate the queue-traversal cost of a loaded many-context machine
   // (DESIGN.md substitution; SimQueueWorkNs() reads the --sim=NS flag).

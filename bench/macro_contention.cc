@@ -62,11 +62,11 @@ constexpr int kReps = 3;
 std::vector<ContentionSample> RunCell(ContentionOptions copts, int agents,
                                       const BenchArgs& args) {
   DatabaseOptions o = BenchDbOptions(/*sli=*/false);
-  // Small-host thresholds: with 2-4 driver threads a hot head sees fewer
+  // Small-host threshold: with 2-4 driver threads a hot head sees fewer
   // contended latch acquisitions per window than the paper's 64-context
-  // Niagara, so trigger earlier and cool only on a fully calm window.
+  // Niagara, so trigger earlier (adaptive heads cool on a fully calm
+  // window).
   o.lock.hot_min_contended = 2;
-  o.lock.hot_exit_contended = 0;
 
   Database db(o);
   ContentionWorkload workload(copts);

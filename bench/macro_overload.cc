@@ -91,10 +91,9 @@ std::vector<OverloadSample> RunScenario(ContentionOptions copts,
                                         const CellConfig& cell,
                                         const BenchArgs& args) {
   DatabaseOptions o = BenchDbOptions(/*sli=*/false);
-  // Small-host heat thresholds, as in macro_contention: trigger on little
-  // contention, cool only on a calm window.
+  // Small-host heat threshold, as in macro_contention: the wait-depth
+  // limiter treats a head as hot on little contention.
   o.lock.hot_min_contended = 2;
-  o.lock.hot_exit_contended = 0;
 
   Database db(o);
   ContentionWorkload workload(copts);

@@ -74,8 +74,7 @@ BENCHMARK(BM_LockCacheHit);
 /// Compare against BM_LockAcquireRelease/0 — the round trip it replaces.
 void BM_SliInheritReclaimCycle(benchmark::State& state) {
   LockManagerOptions o;
-  o.enable_sli = true;
-  o.sli_require_hot = false;
+  o.sli_mode = SliMode::kAlwaysInherit;
   LockManager lm(o);
   AgentSliState sli(0);
   LockClient c;
@@ -118,8 +117,7 @@ void BM_SliContendedTableLock(benchmark::State& state) {
   static LockManager* lm = nullptr;
   if (state.thread_index() == 0) {
     LockManagerOptions o;
-    o.enable_sli = true;
-    o.sli_require_hot = false;
+    o.sli_mode = SliMode::kAlwaysInherit;
     lm = new LockManager(o);
   }
   AgentSliState sli(static_cast<uint32_t>(state.thread_index()));

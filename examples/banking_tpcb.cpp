@@ -16,7 +16,7 @@ int main(int argc, char** argv) {
   const double seconds = argc > 2 ? std::atof(argv[2]) : 1.0;
 
   DatabaseOptions options;
-  options.lock.enable_sli = true;  // banking wants every µs of headroom
+  options.lock.sli_mode = SliMode::kOn;  // banking wants every µs of headroom
   Database db(options);
 
   TpcbOptions bank;

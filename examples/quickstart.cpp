@@ -12,7 +12,7 @@ using namespace slidb;
 int main() {
   // 1. A database with SLI available but disabled (the paper's baseline).
   DatabaseOptions options;
-  options.lock.enable_sli = false;
+  options.lock.sli_mode = SliMode::kOff;
   Database db(options);
 
   // 2. Schema: one table with a hash primary index.

@@ -189,10 +189,10 @@ class Database {
   Catalog& catalog() { return catalog_; }
   const DatabaseOptions& options() const { return options_; }
 
-  /// Apply an SLI policy preset between runs (no active transactions
-  /// allowed); see SliMode in lock_manager.h.
+  /// Switch the SLI policy between runs (no active transactions allowed);
+  /// see SliMode in lock_manager.h.
   void SetSliMode(SliMode mode) {
-    ApplySliMode(lock_manager_->mutable_options(), mode);
+    lock_manager_->mutable_options().sli_mode = mode;
   }
 
  private:

@@ -39,22 +39,22 @@ class HotTracker {
     return ContendedCount() >= min_contended;
   }
 
-  /// Adaptive-SLI state machine (LockManagerOptions::sli_adaptive): a sticky
-  /// per-head "inheritance enabled" bit with separate enter and exit
-  /// thresholds. Cold -> hot when the window's contended count reaches
-  /// `enter`; hot -> cold only when it falls to <= `exit` (exit < enter
-  /// gives real hysteresis: a head in between keeps its current state, so
-  /// window noise around the threshold cannot flap inheritance on and off).
-  /// Evaluated on the commit path, racy like the window itself — a missed
-  /// or doubled transition only perturbs a statistic-driven policy.
-  bool IsHotAdaptive(uint32_t enter, uint32_t exit) {
+  /// Adaptive-SLI state machine (SliMode::kAdaptive): a sticky per-head
+  /// "inheritance enabled" bit with separate enter and exit points. Cold ->
+  /// hot when the window's contended count reaches `enter`; hot -> cold only
+  /// when the window holds no contended acquisition at all. A head in
+  /// between keeps its current state, so window noise around the threshold
+  /// cannot flap inheritance on and off. Evaluated on the commit path, racy
+  /// like the window itself — a missed or doubled transition only perturbs
+  /// a statistic-driven policy.
+  bool IsHotAdaptive(uint32_t enter) {
     const uint32_t contended = ContendedCount();
     if (!adaptive_hot_.load(std::memory_order_relaxed)) {
       if (contended < enter) return false;
       adaptive_hot_.store(true, std::memory_order_relaxed);
       return true;
     }
-    if (contended <= exit) {
+    if (contended == 0) {
       adaptive_hot_.store(false, std::memory_order_relaxed);
       return false;
     }
@@ -66,7 +66,7 @@ class HotTracker {
     return adaptive_hot_.load(std::memory_order_relaxed);
   }
 
-  /// Force-set for tests and the always-inherit ablation.
+  /// Saturate the window (tests use it to pass criterion 2 on demand).
   void ForceHot() { history_.store(0xffffu, std::memory_order_relaxed); }
   void Clear() {
     history_.store(0, std::memory_order_relaxed);

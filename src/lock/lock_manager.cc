@@ -581,37 +581,30 @@ bool LockManager::EligibleForInheritance(
 
   bool ok = true;
   LockHead* h = r->head;
-  // Criterion 3 (correctness, not ablatable): shared-class mode only.
+  // Criterion 3 (correctness): shared-class mode only.
   if (!IsHeritableMode(r->mode)) ok = false;
   // Criterion 1: page level or higher.
-  if (ok && options_.sli_require_high_level &&
-      h->id.level == LockLevel::kRow) {
-    ok = false;
-  }
-  // Criterion 2: the lock is hot. Adaptive mode swaps the stateless window
-  // test for the per-head enter/exit state machine; transitions are counted
-  // so the benches can watch the policy switch per head.
-  if (ok && options_.sli_require_hot) {
-    if (options_.sli_adaptive) {
-      const bool was = h->hot.adaptive_hot();
-      const bool now = h->hot.IsHotAdaptive(options_.hot_min_contended,
-                                            options_.hot_exit_contended);
-      if (now != was) {
-        CountEvent(now ? Counter::kSliAdaptiveEnable
-                       : Counter::kSliAdaptiveCooldown);
-      }
-      if (!now) ok = false;
-    } else if (!h->hot.IsHot(options_.hot_min_contended)) {
-      ok = false;
+  if (ok && h->id.level == LockLevel::kRow) ok = false;
+  // Criterion 2: the lock is hot, tested as sli_mode says. Adaptive mode
+  // swaps the stateless window test for the per-head enter/exit state
+  // machine; transitions are counted so the benches can watch the policy
+  // switch per head. kAlwaysInherit skips the test.
+  if (ok && options_.sli_mode == SliMode::kAdaptive) {
+    const bool was = h->hot.adaptive_hot();
+    const bool now = h->hot.IsHotAdaptive(options_.hot_min_contended);
+    if (now != was) {
+      CountEvent(now ? Counter::kSliAdaptiveEnable
+                     : Counter::kSliAdaptiveCooldown);
     }
+    if (!now) ok = false;
+  } else if (ok && options_.sli_mode == SliMode::kOn &&
+             !h->hot.IsHot(options_.hot_min_contended)) {
+    ok = false;
   }
   // Criterion 4: no other transaction is waiting.
-  if (ok && options_.sli_require_no_waiters &&
-      h->waiter_count.load(std::memory_order_acquire) != 0) {
-    ok = false;
-  }
+  if (ok && h->waiter_count.load(std::memory_order_acquire) != 0) ok = false;
   // Criterion 5: the same conditions hold for the parent, if any.
-  if (ok && options_.sli_require_parent && h->id.HasParent()) {
+  if (ok && h->id.HasParent()) {
     LockRequest* pr = c->cache().Find(h->id.Parent());
     if (pr == nullptr ||
         pr->status.load(std::memory_order_acquire) != RequestStatus::kGranted) {
@@ -676,7 +669,8 @@ void LockManager::ReleaseAll(LockClient* c, AgentSliState* sli,
                              bool allow_inherit, uint64_t commit_lsn) {
   ScopedComponent comp(Component::kLockManager);
   if (sli != nullptr) sli->set_lock_manager(this);
-  const bool sli_active = allow_inherit && options_.enable_sli && sli != nullptr;
+  const bool sli_enabled = options_.sli_mode != SliMode::kOff;
+  const bool sli_active = allow_inherit && sli_enabled && sli != nullptr;
 
   // Each head latch window shrinks to a single summary update: wakeups are
   // collected per release and signalled right after that head's latch
@@ -686,14 +680,13 @@ void LockManager::ReleaseAll(LockClient* c, AgentSliState* sli,
   std::vector<LockId> reclaims;
 
   // Phase 1 (SLI bookkeeping): sweep the agent's inheritance list — free
-  // invalidated requests, discard (or keep, with hysteresis) inherited
-  // requests this transaction never used. Reclaimed ones moved to the
+  // invalidated requests, discard inherited requests this transaction never
+  // used (paper §4.4, "do nothing"). Reclaimed ones moved to the
   // private list and are handled in phase 2. Attributed to the SLI
   // component: "locks which are inherited but never used must still be
   // released, and that overhead counts toward SLI, not the lock manager."
   if (sli != nullptr) {
     ScopedComponent sli_comp(Component::kSli);
-    const bool sli_enabled = options_.enable_sli;
     LockRequest* r = sli->TakeInherited();
     while (r != nullptr) {
       LockRequest* next = r->agent_next;
@@ -707,10 +700,6 @@ void LockManager::ReleaseAll(LockClient* c, AgentSliState* sli,
           // speculation; keep it for the agent's next transaction. (TM1-
           // style workloads abort most transactions by design.)
           sli->PushInherited(r);
-        } else if (sli_enabled &&
-                   r->sli_miss_count < options_.sli_hysteresis) {
-          ++r->sli_miss_count;
-          sli->PushInherited(r);  // §4.4 option 2: momentum
         } else {
           DiscardInherited(sli, r, &wakes, &reclaims);
         }
@@ -732,10 +721,8 @@ void LockManager::ReleaseAll(LockClient* c, AgentSliState* sli,
     bool inherit = false;
     // Cheap rejections first, keeping row locks (the overwhelming majority
     // in scan-heavy transactions) away from the memoized parent check.
-    const bool worth_considering =
-        sli_active && IsHeritableMode(r->mode) &&
-        !(options_.sli_require_high_level &&
-          r->head->id.level == LockLevel::kRow);
+    const bool worth_considering = sli_active && IsHeritableMode(r->mode) &&
+                                   r->head->id.level != LockLevel::kRow;
     if (worth_considering) {
       ScopedComponent sli_comp(Component::kSli);
       inherit = EligibleForInheritance(c, r, &memo, 0);
@@ -744,7 +731,6 @@ void LockManager::ReleaseAll(LockClient* c, AgentSliState* sli,
 
     if (inherit) {
       ScopedComponent sli_comp(Component::kSli);
-      r->sli_miss_count = 0;
       r->grant_cycles = 0;  // a reclaim is not a fresh grant
       if (commit_lsn != 0 && IsWriteClassMode(r->mode)) {
         // Inheritance is a logical release: a conflicting acquirer that

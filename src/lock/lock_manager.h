@@ -27,24 +27,36 @@
 
 namespace slidb {
 
-/// Tuning knobs. The sli_require_* flags exist for the criteria-ablation
-/// experiments; defaults match the paper.
+/// SLI policy. kOff never inherits. The other presets differ only in how
+/// criterion 2 (heat, paper §4.2) is tested: kOn, the paper's default, uses
+/// the stateless window test (HotTracker::IsHot); kAlwaysInherit skips it,
+/// so every head that meets the other four criteria inherits; kAdaptive
+/// uses the per-head enter/exit state machine (HotTracker::IsHotAdaptive).
+enum class SliMode : uint8_t { kOff, kOn, kAlwaysInherit, kAdaptive };
+
+inline const char* SliModeName(SliMode mode) {
+  switch (mode) {
+    case SliMode::kOff: return "sli_off";
+    case SliMode::kOn: return "sli_on";
+    case SliMode::kAlwaysInherit: return "always_on";
+    case SliMode::kAdaptive: return "adaptive";
+  }
+  return "?";
+}
+
+/// Tuning knobs. SLI's eligibility criteria 1, 3, 4 and 5 are fixed rules
+/// (LockManager::EligibleForInheritance); `sli_mode` picks how criterion 2
+/// is tested, and an inherited lock the next transaction does not use is
+/// discarded at its commit (the paper's §4.4 "do nothing").
 struct LockManagerOptions {
   /// Criterion 2 threshold: hot = at least this many of the last 16 latch
   /// acquisitions on the head were contended (paper: tunable threshold).
+  /// Under kAdaptive it is the enter threshold; a head cools again once its
+  /// window holds no contended acquisition.
   uint32_t hot_min_contended = 4;
 
-  /// Adaptive-SLI mode (criterion 2 becomes a per-head state machine):
-  /// inheritance turns on for a head when its window reaches
-  /// hot_min_contended and stays on until the window cools to
-  /// hot_exit_contended or below. The gap between the two thresholds is the
-  /// hysteresis band that stops inheritance from flapping when a head
-  /// hovers near the trigger. Requires sli_require_hot; ignored otherwise.
-  bool sli_adaptive = false;
-
-  /// Adaptive exit threshold (see sli_adaptive). Must be < hot_min_contended
-  /// for the hysteresis band to exist.
-  uint32_t hot_exit_contended = 1;
+  /// Speculative lock inheritance policy; see SliMode.
+  SliMode sli_mode = SliMode::kOff;
 
   /// Extra nanoseconds of work *per queued request* performed inside each
   /// latched lock-queue operation (acquire / upgrade / release). Models the
@@ -58,20 +70,6 @@ struct LockManagerOptions {
   /// (unit-test default).
   uint64_t sim_queue_work_ns = 0;
 
-  /// Master switch for speculative lock inheritance.
-  bool enable_sli = false;
-
-  // --- SLI eligibility criteria (paper §4.2); individually ablatable.
-  // Criterion 3 (shared mode) is not switchable: it is a correctness rule.
-  bool sli_require_high_level = true;  ///< criterion 1: page level or higher
-  bool sli_require_hot = true;         ///< criterion 2: latch contention seen
-  bool sli_require_no_waiters = true;  ///< criterion 4: nobody waiting
-  bool sli_require_parent = true;      ///< criterion 5: parent also eligible
-
-  /// §4.4 option 2: keep an unused inherited lock across this many commits
-  /// before discarding it (0 = paper's "do nothing" default).
-  uint32_t sli_hysteresis = 0;
-
   /// Backstop for lost wakeups / undetected deadlocks. Per-wait budgets are
   /// min(lock_timeout_us, the transaction's remaining deadline) when the
   /// LockClient carries a deadline.
@@ -84,31 +82,6 @@ struct LockManagerOptions {
   /// instead of deepening the convoy. 0 = off (default).
   uint32_t hot_wait_depth = 0;
 };
-
-/// The SLI policy presets the contention benches ablate. kOn is the paper
-/// default (all eligibility criteria active, window-based heat test);
-/// kAlwaysInherit drops criterion 2 (every eligible head inherits regardless
-/// of heat); kAdaptive replaces the stateless window test with the per-head
-/// enter/exit state machine (see LockManagerOptions::sli_adaptive).
-enum class SliMode : uint8_t { kOff, kOn, kAlwaysInherit, kAdaptive };
-
-inline const char* SliModeName(SliMode mode) {
-  switch (mode) {
-    case SliMode::kOff: return "sli_off";
-    case SliMode::kOn: return "sli_on";
-    case SliMode::kAlwaysInherit: return "always_on";
-    case SliMode::kAdaptive: return "adaptive";
-  }
-  return "?";
-}
-
-/// Apply a policy preset on top of existing options (leaves thresholds and
-/// non-SLI knobs untouched). Safe only between runs, like mutable_options().
-inline void ApplySliMode(LockManagerOptions& o, SliMode mode) {
-  o.enable_sli = mode != SliMode::kOff;
-  o.sli_require_hot = mode != SliMode::kAlwaysInherit;
-  o.sli_adaptive = mode == SliMode::kAdaptive;
-}
 
 /// Clients to wake, collected while a head latch is held and drained after
 /// it is released so waiters never wake up into a still-latched head (and
@@ -151,9 +124,10 @@ class LockManager {
   /// conflicts. Returns OK, Deadlock (victim), or TimedOut.
   Status Lock(LockClient* c, const LockId& id, LockMode mode);
 
-  /// Release every lock `c` holds. When `allow_inherit` is true, SLI is
-  /// enabled, and `sli` is non-null, eligible locks pass to `sli` instead of
-  /// being released (commit path); aborts call with allow_inherit = false.
+  /// Release every lock `c` holds. When `allow_inherit` is true, sli_mode
+  /// is not kOff, and `sli` is non-null, eligible locks pass to `sli`
+  /// instead of being released (commit path); aborts call with
+  /// allow_inherit = false.
   /// Also garbage-collects `sli`'s invalidated requests and discards
   /// inherited requests the finished transaction never used.
   ///
@@ -181,7 +155,8 @@ class LockManager {
   size_t RunDeadlockDetection();
 
   const LockManagerOptions& options() const { return options_; }
-  /// Live mutation for ablation benches (safe between runs only).
+  /// Live mutation between runs only (Database::SetSliMode switches the
+  /// policy this way); agents must not be running.
   LockManagerOptions& mutable_options() { return options_; }
 
   LockTable& table() { return table_; }

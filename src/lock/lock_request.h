@@ -36,7 +36,6 @@ struct LockRequest {
   std::atomic<RequestStatus> status{RequestStatus::kWaiting};
   LockMode mode = LockMode::kNL;        ///< granted mode
   LockMode convert_to = LockMode::kNL;  ///< target mode while kConverting
-  uint8_t sli_miss_count = 0;  ///< commits survived unused (hysteresis option)
 
   /// Owning transaction's lock state; nullptr while the request sits in an
   /// agent's inheritance list between transactions.
@@ -63,7 +62,6 @@ struct LockRequest {
     status.store(RequestStatus::kWaiting, std::memory_order_relaxed);
     mode = LockMode::kNL;
     convert_to = LockMode::kNL;
-    sli_miss_count = 0;
     client.store(nullptr, std::memory_order_relaxed);
     head = nullptr;
     grant_cycles = 0;

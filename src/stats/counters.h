@@ -128,8 +128,9 @@ inline constexpr size_t kNumCounters =
 const char* CounterName(Counter c);
 
 /// A set of counters. Each agent thread owns one (unsynchronized fast path);
-/// the driver merges them. An atomic global set is also provided for code
-/// paths with no thread context.
+/// the driver merges them. There is no global set: counts from a thread
+/// that never installs a ScopedCounterSet stay in that thread's own
+/// fallback (see Tls()).
 class CounterSet {
  public:
   CounterSet() { values_.fill(0); }
@@ -156,9 +157,10 @@ class CounterSet {
 
   std::string ToString() const;
 
-  /// Thread-local counter set used by library internals. Defaults to a
-  /// process-wide fallback set so counters are never lost; agent threads
-  /// install their own with ScopedCounterSet.
+  /// Thread-local counter set used by library internals; agent threads
+  /// install their own with ScopedCounterSet. A thread without one counts
+  /// into a thread_local fallback set that no reader ever sees, so counts
+  /// from such threads (the flusher, the checkpointer) are dropped.
   static CounterSet& Tls();
 
  private:

@@ -10,14 +10,13 @@
 #include "src/stats/counters.h"
 #include "src/stats/profiler.h"
 #include "src/txn/transaction.h"
-#include "src/util/histogram.h"
 #include "src/util/rng.h"
 
 namespace slidb {
 
 /// Everything one worker thread owns: its reusable transaction (and its
 /// LockClient), its SLI inheritance list and request pool, its profiler,
-/// counters, latency histogram, and RNG. Not thread-safe; single owner.
+/// counters, and RNG. Not thread-safe; single owner.
 class AgentContext {
  public:
   explicit AgentContext(uint32_t id, uint64_t seed = 1)
@@ -33,7 +32,6 @@ class AgentContext {
   AgentSliState& sli() { return sli_; }
   ThreadProfile& profile() { return profile_; }
   CounterSet& counters() { return counters_; }
-  Histogram& latency() { return latency_; }
   Rng& rng() { return rng_; }
 
   /// Parked commit acknowledgements of this agent's speculative commits
@@ -67,7 +65,6 @@ class AgentContext {
   AgentSliState sli_;
   ThreadProfile profile_;
   CounterSet counters_;
-  Histogram latency_;
   Rng rng_;
   DeferredAckRing deferred_acks_;
   uint64_t txn_deadline_ns_ = 0;

@@ -287,8 +287,7 @@ TEST(EngineTest, WriteConflictSerializes) {
 
 TEST(EngineTest, SliEndToEndThroughTransactionManager) {
   DatabaseOptions o = TestOptions();
-  o.lock.enable_sli = true;
-  o.lock.sli_require_hot = false;  // deterministic inheritance in this test
+  o.lock.sli_mode = SliMode::kAlwaysInherit;  // deterministic inheritance
   Database db(o);
   const TableId t = db.CreateTable("t");
   auto agent = db.CreateAgent();
@@ -318,7 +317,7 @@ TEST(EngineTest, ConcurrentAgentsWithSliKeepBalanceInvariant) {
   // Mini TPC-B-like invariant check: total of all account balances is
   // conserved by transfer transactions, with SLI on.
   DatabaseOptions o = TestOptions();
-  o.lock.enable_sli = true;
+  o.lock.sli_mode = SliMode::kOn;
   Database db(o);
   const TableId t = db.CreateTable("accounts");
   const IndexId idx = db.CreateIndex(t, "pk", IndexKind::kHash, true);

@@ -295,13 +295,11 @@ TEST(RequestPoolTest, ReusesFreedRequests) {
   RequestPool pool;
   LockRequest* a = pool.Alloc();
   a->mode = LockMode::kX;
-  a->sli_miss_count = 3;
   pool.Free(a);
   LockRequest* b = pool.Alloc();
   EXPECT_EQ(b, a);  // LIFO reuse
   // Reset() must have scrubbed the previous life.
   EXPECT_EQ(b->mode, LockMode::kNL);
-  EXPECT_EQ(b->sli_miss_count, 0);
   EXPECT_EQ(b->status.load(), RequestStatus::kWaiting);
   pool.Free(b);
 }

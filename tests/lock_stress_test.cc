@@ -1,6 +1,6 @@
 // Randomized stress / property tests for the lock manager + SLI protocol:
-// the mutual-exclusion invariant must hold under every combination of SLI
-// options, mixed lock granularities, random aborts, and deadlock retries.
+// the mutual-exclusion invariant must hold under every SLI preset, mixed
+// lock granularities, random aborts, and deadlock retries.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -18,9 +18,7 @@ namespace {
 /// random read/write mixes; shared counters protected only by the database
 /// locks detect any mutual-exclusion violation.
 struct StressConfig {
-  bool sli;
-  bool require_hot;
-  uint32_t hysteresis;
+  SliMode mode;
   double write_fraction;
 };
 
@@ -29,9 +27,7 @@ class LockStress : public ::testing::TestWithParam<StressConfig> {};
 TEST_P(LockStress, MutualExclusionInvariantHolds) {
   const StressConfig cfg = GetParam();
   LockManagerOptions o;
-  o.enable_sli = cfg.sli;
-  o.sli_require_hot = cfg.require_hot;
-  o.sli_hysteresis = cfg.hysteresis;
+  o.sli_mode = cfg.mode;
   o.lock_timeout_us = 3'000'000;
   LockManager lm(o);
 
@@ -142,7 +138,7 @@ TEST_P(LockStress, MutualExclusionInvariantHolds) {
 
   // Drain all speculation: with SLI disabled the release path discards
   // every parked inherited request.
-  lm.mutable_options().enable_sli = false;
+  lm.mutable_options().sli_mode = SliMode::kOff;
   for (int a = 0; a < kAgents; ++a) {
     agents[a].client->StartTxn(next_txn.fetch_add(1), a);
     lm.ReleaseAll(agents[a].client.get(), agents[a].sli.get(), false);
@@ -165,34 +161,30 @@ TEST_P(LockStress, MutualExclusionInvariantHolds) {
 
 INSTANTIATE_TEST_SUITE_P(
     Configs, LockStress,
-    ::testing::Values(StressConfig{false, true, 0, 0.3},
-                      StressConfig{true, true, 0, 0.3},
-                      StressConfig{true, false, 0, 0.3},
-                      StressConfig{true, false, 2, 0.3},
-                      StressConfig{true, false, 0, 0.9},
-                      StressConfig{true, true, 1, 0.05}),
+    ::testing::Values(StressConfig{SliMode::kOff, 0.3},
+                      StressConfig{SliMode::kOn, 0.3},
+                      StressConfig{SliMode::kOn, 0.05},
+                      StressConfig{SliMode::kAlwaysInherit, 0.3},
+                      StressConfig{SliMode::kAlwaysInherit, 0.9},
+                      StressConfig{SliMode::kAdaptive, 0.3},
+                      StressConfig{SliMode::kAdaptive, 0.9}),
     [](const ::testing::TestParamInfo<StressConfig>& info) {
       const StressConfig& c = info.param;
-      std::string name = c.sli ? "Sli" : "Base";
-      name += c.require_hot ? "Hot" : "NoHot";
-      name += "Hys" + std::to_string(c.hysteresis);
-      name += "W" + std::to_string(static_cast<int>(c.write_fraction * 100));
-      return name;
+      return std::string(SliModeName(c.mode)) + "_W" +
+             std::to_string(static_cast<int>(c.write_fraction * 100));
     });
 
 TEST(LockStressExtra, RapidSliToggleIsSafe) {
-  // Toggling enable_sli between runs (as the benches do) must not strand
-  // inherited requests.
-  LockManagerOptions o;
-  o.enable_sli = true;
-  o.sli_require_hot = false;
-  LockManager lm(o);
+  // Switching SLI off and on between runs (as the benches do) must not
+  // strand inherited requests.
+  LockManager lm;
   AgentSliState sli(0);
   LockClient c;
   c.SetPool(&sli.pool());
 
   for (int round = 0; round < 10; ++round) {
-    lm.mutable_options().enable_sli = (round % 2 == 0);
+    lm.mutable_options().sli_mode =
+        round % 2 == 0 ? SliMode::kAlwaysInherit : SliMode::kOff;
     for (uint64_t i = 0; i < 20; ++i) {
       c.StartTxn(round * 100 + i + 1, 0);
       lm.AdoptInherited(&c, &sli);
@@ -213,8 +205,7 @@ TEST(LockStressExtra, BimodalWorkloadConverges) {
   // correct and keep making progress (inherited locks for the other class
   // get discarded, not stuck).
   LockManagerOptions o;
-  o.enable_sli = true;
-  o.sli_require_hot = false;
+  o.sli_mode = SliMode::kAlwaysInherit;
   LockManager lm(o);
 
   constexpr int kAgents = 4;
@@ -244,7 +235,7 @@ TEST(LockStressExtra, BimodalWorkloadConverges) {
   }
   for (auto& t : threads) t.join();
   // Force-drain speculation, then the queues must be empty.
-  lm.mutable_options().enable_sli = false;
+  lm.mutable_options().sli_mode = SliMode::kOff;
   for (int a = 0; a < kAgents; ++a) {
     clients[a]->StartTxn(next_txn.fetch_add(1), a);
     lm.ReleaseAll(clients[a].get(), slis[a].get(), false);

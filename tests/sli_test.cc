@@ -1,6 +1,7 @@
 // Speculative Lock Inheritance protocol tests (paper Section 4): the five
-// eligibility criteria, inherit/reclaim/invalidate/discard outcomes, the
-// CAS arbitration, orphan handling, hysteresis, and concurrency invariants.
+// eligibility criteria, the SliMode presets, inherit/reclaim/invalidate/
+// discard outcomes, the CAS arbitration, orphan handling, and concurrency
+// invariants.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -17,7 +18,7 @@ namespace {
 
 LockManagerOptions SliOptions() {
   LockManagerOptions o;
-  o.enable_sli = true;
+  o.sli_mode = SliMode::kOn;
   o.lock_timeout_us = 2'000'000;
   return o;
 }
@@ -299,51 +300,6 @@ TEST(SliTest, Criterion5ParentIneligibleBlocksChild) {
   }
 }
 
-TEST(SliTest, CriteriaAblationSwitchesWiden) {
-  // With hot + parent + level requirements off, even a cold row lock's
-  // whole chain gets inherited.
-  LockManagerOptions o = SliOptions();
-  o.sli_require_hot = false;
-  o.sli_require_high_level = false;
-  o.sli_require_parent = false;
-  LockManager lm(o);
-  Agent a(&lm, 0);
-  a.Begin(1);
-  ASSERT_TRUE(lm.Lock(&a.client, LockId::Row(0, 1, 2, 3), LockMode::kS).ok());
-  CounterSet counters;
-  {
-    ScopedCounterSet routed(&counters);
-    a.Commit();
-  }
-  EXPECT_EQ(counters.Get(Counter::kSliInherited), 4u);  // db,table,page,row
-}
-
-TEST(SliTest, HysteresisKeepsUnusedLocksForKCommits) {
-  LockManagerOptions o = SliOptions();
-  o.sli_hysteresis = 2;
-  LockManager lm(o);
-  Agent a(&lm, 0);
-
-  a.Begin(1);
-  ASSERT_TRUE(lm.Lock(&a.client, LockId::Table(0, 1), LockMode::kS).ok());
-  ForceHot(lm, a.client, LockId::Table(0, 1));
-  ForceHot(lm, a.client, LockId::Database(0));
-  a.Commit();
-  ASSERT_EQ(a.sli.inherited_count(), 2u);
-
-  // Two empty transactions: momentum keeps the inheritance alive.
-  a.Begin(2);
-  a.Commit();
-  EXPECT_EQ(a.sli.inherited_count(), 2u);
-  a.Begin(3);
-  a.Commit();
-  EXPECT_EQ(a.sli.inherited_count(), 2u);
-  // Third miss exceeds the hysteresis budget.
-  a.Begin(4);
-  a.Commit();
-  EXPECT_EQ(a.sli.inherited_count(), 0u);
-}
-
 TEST(SliTest, AbortDoesNotInherit) {
   LockManager lm(SliOptions());
   Agent a(&lm, 0);
@@ -466,7 +422,7 @@ TEST(SliTest, ConcurrentAgentsMutualExclusionPreserved) {
   // The serializability smoke test with SLI on: X row updates never lost,
   // while table/database intent locks flow between transactions.
   LockManagerOptions o = SliOptions();
-  o.sli_require_hot = false;  // inherit aggressively to stress the protocol
+  o.sli_mode = SliMode::kAlwaysInherit;  // inherit aggressively
   LockManager lm(o);
 
   constexpr int kAgents = 4;
@@ -503,9 +459,8 @@ LockHead* HeadOf(LockClient& c, const LockId& id) {
 
 TEST(SliTest, AdaptiveEnablesOnHeatAndCoolsDown) {
   LockManagerOptions o = SliOptions();
-  o.sli_adaptive = true;
-  o.hot_min_contended = 4;   // enter threshold
-  o.hot_exit_contended = 1;  // exit threshold (hysteresis band 2..3)
+  o.sli_mode = SliMode::kAdaptive;
+  o.hot_min_contended = 4;  // enter threshold; exit at 0 (band 1..3)
   LockManager lm(o);
   Agent a(&lm, 0);
 
@@ -541,7 +496,7 @@ TEST(SliTest, AdaptiveEnablesOnHeatAndCoolsDown) {
   EXPECT_EQ(warm.Get(Counter::kSliInherited), 2u);
   EXPECT_TRUE(table->hot.adaptive_hot());
 
-  // Mid-band window (exit < contended < enter): hysteresis keeps the bit
+  // Mid-band window (0 < contended < enter): hysteresis keeps the bit
   // on and the locks stay heritable, where plain IsHot already says cold.
   a.Begin(3);
   ASSERT_TRUE(lm.Lock(&a.client, LockId::Table(0, 1), LockMode::kS).ok());
@@ -563,7 +518,7 @@ TEST(SliTest, AdaptiveEnablesOnHeatAndCoolsDown) {
   EXPECT_EQ(mid.Get(Counter::kSliAdaptiveCooldown), 0u);
   EXPECT_EQ(mid.Get(Counter::kSliInherited), 2u);
 
-  // Fully calm window (contended <= exit): the bit drops, the commit
+  // Fully calm window (no contended acquisition): the bit drops, the commit
   // releases instead of inheriting, and the cool-down is counted.
   a.Begin(4);
   ASSERT_TRUE(lm.Lock(&a.client, LockId::Table(0, 1), LockMode::kS).ok());
@@ -582,30 +537,47 @@ TEST(SliTest, AdaptiveEnablesOnHeatAndCoolsDown) {
   EXPECT_FALSE(table->hot.adaptive_hot());
 }
 
-TEST(SliTest, ApplySliModePresets) {
-  LockManagerOptions o;
-  ApplySliMode(o, SliMode::kOff);
-  EXPECT_FALSE(o.enable_sli);
-  ApplySliMode(o, SliMode::kOn);
-  EXPECT_TRUE(o.enable_sli);
-  EXPECT_TRUE(o.sli_require_hot);
-  EXPECT_FALSE(o.sli_adaptive);
-  ApplySliMode(o, SliMode::kAlwaysInherit);
-  EXPECT_TRUE(o.enable_sli);
-  EXPECT_FALSE(o.sli_require_hot);
-  ApplySliMode(o, SliMode::kAdaptive);
-  EXPECT_TRUE(o.enable_sli);
-  EXPECT_TRUE(o.sli_require_hot);
-  EXPECT_TRUE(o.sli_adaptive);
+/// Commits one table-S transaction under `mode` and returns how many locks
+/// it inherited; `hot` saturates the table and database windows first.
+uint64_t InheritedByOneCommit(SliMode mode, bool hot) {
+  LockManagerOptions o = SliOptions();
+  o.sli_mode = mode;
+  LockManager lm(o);
+  Agent a(&lm, 0);
+  a.Begin(1);
+  EXPECT_TRUE(lm.Lock(&a.client, LockId::Table(0, 1), LockMode::kS).ok());
+  if (hot) {
+    ForceHot(lm, a.client, LockId::Table(0, 1));
+    ForceHot(lm, a.client, LockId::Database(0));
+  }
+  CounterSet counters;
+  {
+    ScopedCounterSet routed(&counters);
+    a.Commit();
+  }
+  EXPECT_EQ(a.sli.inherited_count(), counters.Get(Counter::kSliInherited));
+  return counters.Get(Counter::kSliInherited);
+}
+
+TEST(SliTest, EachPresetInheritsAsItsModeSays) {
+  // Cold heads: only the preset that skips criterion 2 inherits.
+  EXPECT_EQ(InheritedByOneCommit(SliMode::kOff, false), 0u);
+  EXPECT_EQ(InheritedByOneCommit(SliMode::kOn, false), 0u);
+  EXPECT_EQ(InheritedByOneCommit(SliMode::kAlwaysInherit, false), 2u);
+  EXPECT_EQ(InheritedByOneCommit(SliMode::kAdaptive, false), 0u);
+  // Hot heads: every preset but kOff inherits the db IS and the table S.
+  EXPECT_EQ(InheritedByOneCommit(SliMode::kOff, true), 0u);
+  EXPECT_EQ(InheritedByOneCommit(SliMode::kOn, true), 2u);
+  EXPECT_EQ(InheritedByOneCommit(SliMode::kAlwaysInherit, true), 2u);
+  EXPECT_EQ(InheritedByOneCommit(SliMode::kAdaptive, true), 2u);
   EXPECT_STREQ(SliModeName(SliMode::kAdaptive), "adaptive");
   EXPECT_STREQ(SliModeName(SliMode::kAlwaysInherit), "always_on");
 }
 
 TEST(SliTest, AdaptiveConcurrentAgentsPreserveMutualExclusion) {
   LockManagerOptions o = SliOptions();
-  o.sli_adaptive = true;
+  o.sli_mode = SliMode::kAdaptive;
   o.hot_min_contended = 2;
-  o.hot_exit_contended = 0;
   LockManager lm(o);
 
   constexpr int kAgents = 2;
@@ -649,7 +621,7 @@ TEST(SliTest, AdaptiveConcurrentAgentsPreserveMutualExclusion) {
 
 TEST(SliTest, SliDisabledInheritsNothing) {
   LockManagerOptions o = SliOptions();
-  o.enable_sli = false;
+  o.sli_mode = SliMode::kOff;
   LockManager lm(o);
   Agent a(&lm, 0);
   a.Begin(1);

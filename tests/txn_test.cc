@@ -107,8 +107,7 @@ TEST(TxnTest, LocksReleasedOnCommitAndAbort) {
 
 TEST(TxnTest, SliFlowsThroughBeginCommitBoundary) {
   TxnHarness h;
-  h.lock_manager->mutable_options().enable_sli = true;
-  h.lock_manager->mutable_options().sli_require_hot = false;
+  h.lock_manager->mutable_options().sli_mode = SliMode::kAlwaysInherit;
   AgentContext agent(0);
 
   h.txn_manager->Begin(&agent);
@@ -136,8 +135,7 @@ TEST(TxnTest, AbortPreservesAgentSpeculation) {
   // A user abort (e.g. TM1 invalid input) must not throw away the agent's
   // inherited locks — the next transaction can still reclaim them.
   TxnHarness h;
-  h.lock_manager->mutable_options().enable_sli = true;
-  h.lock_manager->mutable_options().sli_require_hot = false;
+  h.lock_manager->mutable_options().sli_mode = SliMode::kAlwaysInherit;
   AgentContext agent(0);
 
   h.txn_manager->Begin(&agent);

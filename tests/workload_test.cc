@@ -16,7 +16,7 @@ namespace {
 
 DatabaseOptions SmallDbOptions(bool sli) {
   DatabaseOptions o;
-  o.lock.enable_sli = sli;
+  o.lock.sli_mode = sli ? SliMode::kOn : SliMode::kOff;
   o.lock.lock_timeout_us = 3'000'000;
   o.log.flush_interval_us = 100;
   o.buffer.num_frames = 1u << 14;  // 128 MB
@@ -376,7 +376,6 @@ TEST(ContentionTest, ScenariosRunConcurrentlyAndReportHeat) {
   for (ContentionScenario sc : kAllScenarios) {
     DatabaseOptions dbo = SmallDbOptions(false);
     dbo.lock.hot_min_contended = 2;
-    dbo.lock.hot_exit_contended = 0;
     Database db(dbo);
     ContentionOptions copts;
     copts.scenario = sc;
@@ -394,7 +393,7 @@ TEST(ContentionTest, ScenariosRunConcurrentlyAndReportHeat) {
     EXPECT_GT(off.commits, 0u) << ContentionScenarioName(sc);
     EXPECT_EQ(off.counters.Get(Counter::kSliInherited), 0u);
 
-    // Adaptive mode between runs (the bench's ablation knob): still
+    // Adaptive mode between runs (as macro_contention switches it): still
     // commits, and the heat probe sees the live lock heads.
     db.SetSliMode(SliMode::kAdaptive);
     const DriverResult adaptive = RunWorkload(db, wl, dopts);
