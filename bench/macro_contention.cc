@@ -1,14 +1,12 @@
 // Contention-scenario matrix: the purpose-built skewed workloads from
-// src/workload/contention.h through the SLI policy ablation the paper's
-// Figures 9/10 are about — SLI off vs always-inherit vs adaptive
-// (per-head heat-triggered), across a Zipf-theta sweep (zipf-mix) and the
-// three hotspot scenarios (flash-sale, auction, social-feed).
+// src/workload/contention.h with SLI off vs on (the paper's Figures 9/10),
+// across a Zipf-theta sweep (zipf-mix) and the three hotspot scenarios
+// (flash-sale, auction, social-feed).
 //
 // Each row reports throughput plus what the heat machinery saw: hot-head
 // counts from the HotTracker windows, cumulative contended-head counts
 // (stable after an idle tail, used by CI), and the SLI outcome counters
-// (inherited / reclaimed / invalidated / discarded, and the adaptive
-// policy's enable/cool-down transitions).
+// (inherited / reclaimed / invalidated / discarded).
 //
 // Emits a human table on stdout and, with --json=FILE, the
 // BENCH_contention.json record consumed by CI's bench smoke job.
@@ -24,8 +22,7 @@
 namespace slidb::bench {
 namespace {
 
-constexpr SliMode kModes[] = {SliMode::kOff, SliMode::kAlwaysInherit,
-                              SliMode::kAdaptive};
+constexpr SliMode kModes[] = {SliMode::kOff, SliMode::kOn};
 constexpr double kThetaSweep[] = {0.0, 0.6, 0.9, 0.99, 1.2};
 constexpr ContentionScenario kHotspots[] = {ContentionScenario::kFlashSale,
                                             ContentionScenario::kAuction,
@@ -45,15 +42,13 @@ struct ContentionSample {
   uint64_t reclaims = 0;
   uint64_t invalidated = 0;
   uint64_t discarded = 0;
-  uint64_t adaptive_enables = 0;
-  uint64_t adaptive_cooldowns = 0;
 };
 
 constexpr int kReps = 3;
 
-/// One matrix cell = one database + loaded scenario, all three SLI modes
+/// One matrix cell = one database + loaded scenario, both SLI modes
 /// measured against it. Modes are interleaved round-robin at window
-/// granularity (off, always-on, adaptive, off, ...) and each mode keeps its
+/// granularity (off, on, off, on, ...) and each mode keeps its
 /// median window: on a small shared host the background load swings by 2-3x
 /// on a minutes scale, so back-to-back windows are the only ones that are
 /// comparable — sequential per-mode runs would measure the neighbors, not
@@ -64,8 +59,7 @@ std::vector<ContentionSample> RunCell(ContentionOptions copts, int agents,
   DatabaseOptions o = BenchDbOptions(/*sli=*/false);
   // Small-host threshold: with 2-4 driver threads a hot head sees fewer
   // contended latch acquisitions per window than the paper's 64-context
-  // Niagara, so trigger earlier (adaptive heads cool on a fully calm
-  // window).
+  // Niagara, so trigger earlier.
   o.lock.hot_min_contended = 2;
 
   Database db(o);
@@ -96,7 +90,7 @@ std::vector<ContentionSample> RunCell(ContentionOptions copts, int agents,
       reps[m][rep] = RunWorkload(db, workload, dopts);
     }
   }
-  // Cumulative over the cell's whole run; identical for the three rows by
+  // Cumulative over the cell's whole run; identical for both rows by
   // construction (heat is a property of the workload, not the policy).
   const ContentionHeatReport heat = ContentionWorkload::MeasureHeat(db);
 
@@ -121,8 +115,6 @@ std::vector<ContentionSample> RunCell(ContentionOptions copts, int agents,
     s.reclaims = r.counters.Get(Counter::kSliReclaimed);
     s.invalidated = r.counters.Get(Counter::kSliInvalidated);
     s.discarded = r.counters.Get(Counter::kSliDiscarded);
-    s.adaptive_enables = r.counters.Get(Counter::kSliAdaptiveEnable);
-    s.adaptive_cooldowns = r.counters.Get(Counter::kSliAdaptiveCooldown);
     out.push_back(std::move(s));
   }
   return out;
@@ -140,8 +132,7 @@ int Main(int argc, char** argv) {
 
   std::vector<ContentionSample> samples;
   TablePrinter table({"scenario", "theta", "sli", "tps", "commits",
-                      "hot_heads", "cont_frac", "inherits", "reclaims",
-                      "adapt_on/off"});
+                      "hot_heads", "cont_frac", "inherits", "reclaims"});
   const auto add_row = [&](const ContentionSample& s) {
     samples.push_back(s);
     table.Row(
@@ -150,9 +141,7 @@ int Main(int argc, char** argv) {
          Fmt("%llu", static_cast<unsigned long long>(s.heat.hot_heads)),
          Fmt("%.3f", s.heat.contended_fraction),
          Fmt("%llu", static_cast<unsigned long long>(s.inherits)),
-         Fmt("%llu", static_cast<unsigned long long>(s.reclaims)),
-         Fmt("%llu/%llu", static_cast<unsigned long long>(s.adaptive_enables),
-             static_cast<unsigned long long>(s.adaptive_cooldowns))});
+         Fmt("%llu", static_cast<unsigned long long>(s.reclaims))});
   };
 
   std::printf("== zipf-mix theta sweep (%d agents) ==\n", agents);
@@ -174,7 +163,7 @@ int Main(int argc, char** argv) {
     }
   }
 
-  // Headline: adaptive vs off at the skewed end of the sweep.
+  // Headline: on vs off at the skewed end of the sweep.
   const auto find_tps = [&](const char* scenario, double theta,
                             const char* mode) {
     for (const ContentionSample& s : samples) {
@@ -187,11 +176,10 @@ int Main(int argc, char** argv) {
   };
   for (double theta : {0.99, 1.2}) {
     const double off = find_tps("zipf_mix", theta, "sli_off");
-    const double adaptive = find_tps("zipf_mix", theta, "adaptive");
+    const double on = find_tps("zipf_mix", theta, "sli_on");
     if (off > 0) {
-      std::printf("# zipf-mix theta=%.2f: adaptive/off = %.2fx "
-                  "(%.0f vs %.0f tps)\n",
-                  theta, adaptive / off, adaptive, off);
+      std::printf("# zipf-mix theta=%.2f: on/off = %.2fx (%.0f vs %.0f tps)\n",
+                  theta, on / off, on, off);
     }
   }
 
@@ -215,7 +203,6 @@ int Main(int argc, char** argv) {
     json.Key("heat").BeginObject();
     json.Key("heads").Value(s.heat.heads);
     json.Key("hot_heads").Value(s.heat.hot_heads);
-    json.Key("adaptive_hot_heads").Value(s.heat.adaptive_hot_heads);
     json.Key("contended_heads").Value(s.heat.contended_heads);
     json.Key("total_acquires").Value(s.heat.total_acquires);
     json.Key("total_contended").Value(s.heat.total_contended);
@@ -226,8 +213,6 @@ int Main(int argc, char** argv) {
     json.Key("reclaims").Value(s.reclaims);
     json.Key("invalidated").Value(s.invalidated);
     json.Key("discarded").Value(s.discarded);
-    json.Key("adaptive_enables").Value(s.adaptive_enables);
-    json.Key("adaptive_cooldowns").Value(s.adaptive_cooldowns);
     json.EndObject();
     json.EndObject();
   }

@@ -74,7 +74,8 @@ BENCHMARK(BM_LockCacheHit);
 /// Compare against BM_LockAcquireRelease/0 — the round trip it replaces.
 void BM_SliInheritReclaimCycle(benchmark::State& state) {
   LockManagerOptions o;
-  o.sli_mode = SliMode::kAlwaysInherit;
+  o.sli_mode = SliMode::kOn;
+  o.hot_min_contended = 0;  // every head hot: one thread never contends
   LockManager lm(o);
   AgentSliState sli(0);
   LockClient c;
@@ -117,7 +118,8 @@ void BM_SliContendedTableLock(benchmark::State& state) {
   static LockManager* lm = nullptr;
   if (state.thread_index() == 0) {
     LockManagerOptions o;
-    o.sli_mode = SliMode::kAlwaysInherit;
+    o.sli_mode = SliMode::kOn;
+    o.hot_min_contended = 0;  // inherit from the first release on
     lm = new LockManager(o);
   }
   AgentSliState sli(static_cast<uint32_t>(state.thread_index()));

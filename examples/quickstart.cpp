@@ -11,8 +11,10 @@ using namespace slidb;
 
 int main() {
   // 1. A database with SLI available but disabled (the paper's baseline).
+  //    Heat threshold 0 counts every lock as hot; see step 7.
   DatabaseOptions options;
   options.lock.sli_mode = SliMode::kOff;
+  options.lock.hot_min_contended = 0;
   Database db(options);
 
   // 2. Schema: one table with a hash primary index.
@@ -73,8 +75,9 @@ int main() {
   // 7. Turn on SLI and watch locks flow between transactions: route the
   //    counters to a local set so we can print them. In production SLI only
   //    inherits *hot* locks (criterion 2) — with a single quiet agent
-  //    nothing ever becomes hot, so for this demo we waive that criterion.
-  db.SetSliMode(SliMode::kAlwaysInherit);
+  //    nothing ever becomes hot, so this demo waives that criterion with
+  //    the heat threshold 0 set in step 1.
+  db.SetSliMode(SliMode::kOn);
   CounterSet counters;
   {
     ScopedCounterSet routed(&counters);

@@ -39,40 +39,13 @@ class HotTracker {
     return ContendedCount() >= min_contended;
   }
 
-  /// Adaptive-SLI state machine (SliMode::kAdaptive): a sticky per-head
-  /// "inheritance enabled" bit with separate enter and exit points. Cold ->
-  /// hot when the window's contended count reaches `enter`; hot -> cold only
-  /// when the window holds no contended acquisition at all. A head in
-  /// between keeps its current state, so window noise around the threshold
-  /// cannot flap inheritance on and off. Evaluated on the commit path, racy
-  /// like the window itself — a missed or doubled transition only perturbs
-  /// a statistic-driven policy.
-  bool IsHotAdaptive(uint32_t enter) {
-    const uint32_t contended = ContendedCount();
-    if (!adaptive_hot_.load(std::memory_order_relaxed)) {
-      if (contended < enter) return false;
-      adaptive_hot_.store(true, std::memory_order_relaxed);
-      return true;
-    }
-    if (contended == 0) {
-      adaptive_hot_.store(false, std::memory_order_relaxed);
-      return false;
-    }
-    return true;
-  }
-
-  /// Current adaptive state without evaluating a transition.
-  bool adaptive_hot() const {
-    return adaptive_hot_.load(std::memory_order_relaxed);
-  }
-
-  /// Saturate the window (tests use it to pass criterion 2 on demand).
+  /// Saturate the window (tests use it to heat one head and leave another
+  /// cold; threshold 0 makes every head hot).
   void ForceHot() { history_.store(0xffffu, std::memory_order_relaxed); }
   void Clear() {
     history_.store(0, std::memory_order_relaxed);
     total_.store(0, std::memory_order_relaxed);
     total_contended_.store(0, std::memory_order_relaxed);
-    adaptive_hot_.store(false, std::memory_order_relaxed);
   }
 
   /// Cumulative statistics (whole head lifetime, not windowed).
@@ -87,7 +60,6 @@ class HotTracker {
   std::atomic<uint32_t> history_{0};
   std::atomic<uint64_t> total_{0};
   std::atomic<uint64_t> total_contended_{0};
-  std::atomic<bool> adaptive_hot_{false};
 };
 
 /// One active lock. Queue fields are protected by `latch`; `waiter_count`,

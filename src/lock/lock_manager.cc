@@ -585,22 +585,8 @@ bool LockManager::EligibleForInheritance(
   if (!IsHeritableMode(r->mode)) ok = false;
   // Criterion 1: page level or higher.
   if (ok && h->id.level == LockLevel::kRow) ok = false;
-  // Criterion 2: the lock is hot, tested as sli_mode says. Adaptive mode
-  // swaps the stateless window test for the per-head enter/exit state
-  // machine; transitions are counted so the benches can watch the policy
-  // switch per head. kAlwaysInherit skips the test.
-  if (ok && options_.sli_mode == SliMode::kAdaptive) {
-    const bool was = h->hot.adaptive_hot();
-    const bool now = h->hot.IsHotAdaptive(options_.hot_min_contended);
-    if (now != was) {
-      CountEvent(now ? Counter::kSliAdaptiveEnable
-                     : Counter::kSliAdaptiveCooldown);
-    }
-    if (!now) ok = false;
-  } else if (ok && options_.sli_mode == SliMode::kOn &&
-             !h->hot.IsHot(options_.hot_min_contended)) {
-    ok = false;
-  }
+  // Criterion 2: the lock is hot (threshold 0 counts every head as hot).
+  if (ok && !h->hot.IsHot(options_.hot_min_contended)) ok = false;
   // Criterion 4: no other transaction is waiting.
   if (ok && h->waiter_count.load(std::memory_order_acquire) != 0) ok = false;
   // Criterion 5: the same conditions hold for the parent, if any.
@@ -726,7 +712,6 @@ void LockManager::ReleaseAll(LockClient* c, AgentSliState* sli,
     if (worth_considering) {
       ScopedComponent sli_comp(Component::kSli);
       inherit = EligibleForInheritance(c, r, &memo, 0);
-      if (inherit) CountEvent(Counter::kSliEligible);
     }
 
     if (inherit) {
@@ -744,16 +729,13 @@ void LockManager::ReleaseAll(LockClient* c, AgentSliState* sli,
       // that is already kInherited (overestimates are harmless: they just
       // send a conflicting requester down the precise slow path).
       r->head->inherited_hint.fetch_add(1, std::memory_order_acq_rel);
+      // Only the owner transitions out of kGranted, so the CAS cannot fail.
       RequestStatus expect = RequestStatus::kGranted;
-      if (r->status.compare_exchange_strong(expect, RequestStatus::kInherited,
-                                            std::memory_order_acq_rel)) {
-        sli->PushInherited(r);
-        CountEvent(Counter::kSliInherited);
-      } else {
-        // Only the owner transitions out of kGranted; cannot happen.
-        r->head->inherited_hint.fetch_sub(1, std::memory_order_acq_rel);
-        ReleaseOne(r, pool, &wakes, &reclaims, commit_lsn);
-      }
+      [[maybe_unused]] const bool won = r->status.compare_exchange_strong(
+          expect, RequestStatus::kInherited, std::memory_order_acq_rel);
+      assert(won);
+      sli->PushInherited(r);
+      CountEvent(Counter::kSliInherited);
     } else {
       ReleaseOne(r, pool, &wakes, &reclaims, commit_lsn);
     }

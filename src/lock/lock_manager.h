@@ -27,32 +27,29 @@
 
 namespace slidb {
 
-/// SLI policy. kOff never inherits. The other presets differ only in how
-/// criterion 2 (heat, paper §4.2) is tested: kOn, the paper's default, uses
-/// the stateless window test (HotTracker::IsHot); kAlwaysInherit skips it,
-/// so every head that meets the other four criteria inherits; kAdaptive
-/// uses the per-head enter/exit state machine (HotTracker::IsHotAdaptive).
-enum class SliMode : uint8_t { kOff, kOn, kAlwaysInherit, kAdaptive };
+/// SLI policy. kOff never inherits; kOn inherits every lock that meets the
+/// paper's five eligibility criteria (§4.2), criterion 2 being the heat
+/// window test HotTracker::IsHot(hot_min_contended).
+enum class SliMode : uint8_t { kOff, kOn };
 
 inline const char* SliModeName(SliMode mode) {
   switch (mode) {
     case SliMode::kOff: return "sli_off";
     case SliMode::kOn: return "sli_on";
-    case SliMode::kAlwaysInherit: return "always_on";
-    case SliMode::kAdaptive: return "adaptive";
   }
   return "?";
 }
 
-/// Tuning knobs. SLI's eligibility criteria 1, 3, 4 and 5 are fixed rules
-/// (LockManager::EligibleForInheritance); `sli_mode` picks how criterion 2
-/// is tested, and an inherited lock the next transaction does not use is
-/// discarded at its commit (the paper's §4.4 "do nothing").
+/// Tuning knobs. SLI's five eligibility criteria are fixed rules
+/// (LockManager::EligibleForInheritance), and an inherited lock the next
+/// transaction does not use is discarded at its commit (the paper's §4.4
+/// "do nothing").
 struct LockManagerOptions {
-  /// Criterion 2 threshold: hot = at least this many of the last 16 latch
-  /// acquisitions on the head were contended (paper: tunable threshold).
-  /// Under kAdaptive it is the enter threshold; a head cools again once its
-  /// window holds no contended acquisition.
+  /// Heat threshold: a head is hot when at least this many of the last 16
+  /// latch acquisitions on it were contended (paper: tunable threshold).
+  /// It feeds SLI criterion 2, the `hot_wait_depth` limit and the Fig. 8
+  /// hot-acquisition counters (acq.hot*). 0 makes every head hot, which
+  /// waives criterion 2.
   uint32_t hot_min_contended = 4;
 
   /// Speculative lock inheritance policy; see SliMode.

@@ -33,14 +33,11 @@ const char* CounterName(Counter c) {
     case Counter::kAcqHot: return "acq.hot";
     case Counter::kAcqHotHeritable: return "acq.hot_heritable";
     case Counter::kAcqHotRow: return "acq.hot_row";
-    case Counter::kSliEligible: return "sli.eligible";
     case Counter::kSliInherited: return "sli.inherited";
     case Counter::kSliReclaimed: return "sli.reclaimed";
     case Counter::kSliInvalidated: return "sli.invalidated";
     case Counter::kSliDiscarded: return "sli.discarded";
     case Counter::kSliUpgradeAfterReclaim: return "sli.upgrade_after_reclaim";
-    case Counter::kSliAdaptiveEnable: return "sli.adaptive_enable";
-    case Counter::kSliAdaptiveCooldown: return "sli.adaptive_cooldown";
     case Counter::kLogResvRetries: return "log.resv_retries";
     case Counter::kGroupCommitWaitersWoken: return "log.gc_waiters_woken";
     case Counter::kLogChecksumFail: return "log.checksum_fail";

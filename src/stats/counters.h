@@ -40,14 +40,12 @@ enum class Counter : uint32_t {
   kAcqHotRow,          ///< hot row locks (paper expects these to be rare)
 
   // -- Figure 9: SLI outcomes --
-  kSliEligible,        ///< locks passing all five criteria at release
-  kSliInherited,       ///< requests actually handed to the agent thread
+  kSliInherited,       ///< locks passing all five criteria at release,
+                       ///< handed to the agent thread
   kSliReclaimed,       ///< inherited requests used by the next transaction
   kSliInvalidated,     ///< inherited requests killed by a conflicting request
   kSliDiscarded,       ///< inherited requests released unused at next commit
   kSliUpgradeAfterReclaim,  ///< reclaimed, then needed a stronger mode
-  kSliAdaptiveEnable,       ///< adaptive policy turned inheritance on for a head
-  kSliAdaptiveCooldown,     ///< adaptive policy turned inheritance off for a head
 
   // -- log / commit pipeline --
   kLogResvRetries,          ///< backpressure pauses in the log append path

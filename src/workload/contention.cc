@@ -212,7 +212,6 @@ ContentionHeatReport ContentionWorkload::MeasureHeat(Database& db) {
   db.lock_manager().table().ForEachHead([&](LockHead* h) {
     ++out.heads;
     if (h->hot.IsHot(hot_min)) ++out.hot_heads;
-    if (h->hot.adaptive_hot()) ++out.adaptive_hot_heads;
     const uint64_t contended = h->hot.total_contended();
     if (contended > 0) ++out.contended_heads;
     out.total_acquires += h->hot.total_acquires();

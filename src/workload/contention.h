@@ -59,7 +59,6 @@ struct ContentionOptions {
 struct ContentionHeatReport {
   uint64_t heads = 0;
   uint64_t hot_heads = 0;           ///< IsHot(hot_min_contended) right now
-  uint64_t adaptive_hot_heads = 0;  ///< adaptive state machine currently on
   uint64_t contended_heads = 0;     ///< total_contended() > 0 (cumulative)
   uint64_t total_acquires = 0;
   uint64_t total_contended = 0;

@@ -27,9 +27,12 @@ uint64_t CfKey(uint64_t s_id, uint8_t sf_type, uint8_t start_time) {
   return SfKey(s_id, sf_type) * 4 + start_time / 8;
 }
 
+/// sub_nbr is s_id as 15 zero-padded digits. Subscriber ids stay far below
+/// 10^15; the modulo bounds the value so the 16-byte buffer provably fits.
 void FillSubNbr(char (&out)[16], uint64_t s_id) {
+  constexpr uint64_t kSubNbrLimit = 1'000'000'000'000'000;  // 10^15
   std::snprintf(out, sizeof(out), "%015llu",
-                static_cast<unsigned long long>(s_id));
+                static_cast<unsigned long long>(s_id % kSubNbrLimit));
 }
 
 /// Abort the transaction and surface the engine failure (deadlock/timeout)

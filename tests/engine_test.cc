@@ -287,7 +287,8 @@ TEST(EngineTest, WriteConflictSerializes) {
 
 TEST(EngineTest, SliEndToEndThroughTransactionManager) {
   DatabaseOptions o = TestOptions();
-  o.lock.sli_mode = SliMode::kAlwaysInherit;  // deterministic inheritance
+  o.lock.sli_mode = SliMode::kOn;
+  o.lock.hot_min_contended = 0;  // every head hot: deterministic inheritance
   Database db(o);
   const TableId t = db.CreateTable("t");
   auto agent = db.CreateAgent();

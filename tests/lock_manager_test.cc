@@ -606,7 +606,9 @@ TEST_F(LockManagerTest, WaitDeadlineShorterThanSpinBudgetTimesOut) {
   }
   lm.ReleaseAll(&holder, nullptr, false);
   lm.table().ForEachHead([](LockHead* h) {
-    if (h->id == LockId::Table(0, 6)) EXPECT_TRUE(h->QueueEmpty());
+    if (h->id == LockId::Table(0, 6)) {
+      EXPECT_TRUE(h->QueueEmpty());
+    }
   });
 }
 

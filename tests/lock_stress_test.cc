@@ -1,6 +1,7 @@
 // Randomized stress / property tests for the lock manager + SLI protocol:
-// the mutual-exclusion invariant must hold under every SLI preset, mixed
-// lock granularities, random aborts, and deadlock retries.
+// the mutual-exclusion invariant must hold with SLI off and on (at the
+// default heat threshold and at 0, where every head is hot), mixed lock
+// granularities, random aborts, and deadlock retries.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,11 +15,14 @@
 namespace slidb {
 namespace {
 
+constexpr uint32_t kDefaultHotMin = LockManagerOptions{}.hot_min_contended;
+
 /// Exercises a small universe of tables/pages/rows from several agents with
 /// random read/write mixes; shared counters protected only by the database
 /// locks detect any mutual-exclusion violation.
 struct StressConfig {
   SliMode mode;
+  uint32_t hot_min_contended;
   double write_fraction;
 };
 
@@ -28,6 +32,7 @@ TEST_P(LockStress, MutualExclusionInvariantHolds) {
   const StressConfig cfg = GetParam();
   LockManagerOptions o;
   o.sli_mode = cfg.mode;
+  o.hot_min_contended = cfg.hot_min_contended;
   o.lock_timeout_us = 3'000'000;
   LockManager lm(o);
 
@@ -161,30 +166,32 @@ TEST_P(LockStress, MutualExclusionInvariantHolds) {
 
 INSTANTIATE_TEST_SUITE_P(
     Configs, LockStress,
-    ::testing::Values(StressConfig{SliMode::kOff, 0.3},
-                      StressConfig{SliMode::kOn, 0.3},
-                      StressConfig{SliMode::kOn, 0.05},
-                      StressConfig{SliMode::kAlwaysInherit, 0.3},
-                      StressConfig{SliMode::kAlwaysInherit, 0.9},
-                      StressConfig{SliMode::kAdaptive, 0.3},
-                      StressConfig{SliMode::kAdaptive, 0.9}),
+    ::testing::Values(StressConfig{SliMode::kOff, kDefaultHotMin, 0.3},
+                      StressConfig{SliMode::kOn, kDefaultHotMin, 0.3},
+                      StressConfig{SliMode::kOn, kDefaultHotMin, 0.05},
+                      // Every head hot: the heavy-invalidation configs.
+                      StressConfig{SliMode::kOn, 0, 0.3},
+                      StressConfig{SliMode::kOn, 0, 0.9}),
     [](const ::testing::TestParamInfo<StressConfig>& info) {
       const StressConfig& c = info.param;
-      return std::string(SliModeName(c.mode)) + "_W" +
+      return std::string(SliModeName(c.mode)) + "_H" +
+             std::to_string(c.hot_min_contended) + "_W" +
              std::to_string(static_cast<int>(c.write_fraction * 100));
     });
 
 TEST(LockStressExtra, RapidSliToggleIsSafe) {
   // Switching SLI off and on between runs (as the benches do) must not
   // strand inherited requests.
-  LockManager lm;
+  LockManagerOptions o;
+  o.hot_min_contended = 0;  // every head hot: each "on" round inherits
+  LockManager lm(o);
   AgentSliState sli(0);
   LockClient c;
   c.SetPool(&sli.pool());
 
   for (int round = 0; round < 10; ++round) {
     lm.mutable_options().sli_mode =
-        round % 2 == 0 ? SliMode::kAlwaysInherit : SliMode::kOff;
+        round % 2 == 0 ? SliMode::kOn : SliMode::kOff;
     for (uint64_t i = 0; i < 20; ++i) {
       c.StartTxn(round * 100 + i + 1, 0);
       lm.AdoptInherited(&c, &sli);
@@ -205,7 +212,8 @@ TEST(LockStressExtra, BimodalWorkloadConverges) {
   // correct and keep making progress (inherited locks for the other class
   // get discarded, not stuck).
   LockManagerOptions o;
-  o.sli_mode = SliMode::kAlwaysInherit;
+  o.sli_mode = SliMode::kOn;
+  o.hot_min_contended = 0;  // every head hot
   LockManager lm(o);
 
   constexpr int kAgents = 4;

@@ -1,7 +1,7 @@
 // Speculative Lock Inheritance protocol tests (paper Section 4): the five
-// eligibility criteria, the SliMode presets, inherit/reclaim/invalidate/
-// discard outcomes, the CAS arbitration, orphan handling, and concurrency
-// invariants.
+// eligibility criteria and criterion 2's heat threshold, inherit/reclaim/
+// invalidate/discard outcomes, the CAS arbitration, orphan handling, and
+// concurrency invariants.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,9 +16,15 @@
 namespace slidb {
 namespace {
 
-LockManagerOptions SliOptions() {
+constexpr uint32_t kDefaultHotMin = LockManagerOptions{}.hot_min_contended;
+
+/// SLI on. Heat threshold 0 (the default here) makes every head hot, so
+/// criterion 2 passes without real contention; tests of criterion 2 itself
+/// pass kDefaultHotMin.
+LockManagerOptions SliOptions(uint32_t hot_min_contended = 0) {
   LockManagerOptions o;
   o.sli_mode = SliMode::kOn;
+  o.hot_min_contended = hot_min_contended;
   o.lock_timeout_us = 2'000'000;
   return o;
 }
@@ -42,8 +48,9 @@ struct Agent {
   LockClient client;
 };
 
-/// Force the head for `id` hot so criterion 2 passes in unit tests.
-void ForceHot(LockManager& lm, LockClient& c, const LockId& id) {
+/// Saturate the heat window of `id`'s head, for tests that need one head
+/// hot and another cold at the default threshold.
+void ForceHot(LockClient& c, const LockId& id) {
   LockRequest* r = c.cache().Find(id);
   ASSERT_NE(r, nullptr) << id.ToString();
   r->head->hot.ForceHot();
@@ -66,8 +73,6 @@ TEST(SliTest, HotSharedTableLockIsInherited) {
 
   a.Begin(1);
   ASSERT_TRUE(lm.Lock(&a.client, LockId::Table(0, 1), LockMode::kS).ok());
-  ForceHot(lm, a.client, LockId::Table(0, 1));
-  ForceHot(lm, a.client, LockId::Database(0));
 
   CounterSet counters;
   {
@@ -89,8 +94,6 @@ TEST(SliTest, NextTransactionReclaimsWithoutLockManagerCall) {
 
   a.Begin(1);
   ASSERT_TRUE(lm.Lock(&a.client, LockId::Table(0, 1), LockMode::kS).ok());
-  ForceHot(lm, a.client, LockId::Table(0, 1));
-  ForceHot(lm, a.client, LockId::Database(0));
   LockRequest* original = a.client.cache().Find(LockId::Table(0, 1));
   a.Commit();
 
@@ -114,8 +117,6 @@ TEST(SliTest, UnusedInheritedLockDiscardedAtNextCommit) {
 
   a.Begin(1);
   ASSERT_TRUE(lm.Lock(&a.client, LockId::Table(0, 1), LockMode::kS).ok());
-  ForceHot(lm, a.client, LockId::Table(0, 1));
-  ForceHot(lm, a.client, LockId::Database(0));
   a.Commit();
   ASSERT_EQ(a.sli.inherited_count(), 2u);
 
@@ -138,8 +139,6 @@ TEST(SliTest, ConflictingRequestInvalidatesInheritedLock) {
 
   a.Begin(1);
   ASSERT_TRUE(lm.Lock(&a.client, LockId::Table(0, 1), LockMode::kS).ok());
-  ForceHot(lm, a.client, LockId::Table(0, 1));
-  ForceHot(lm, a.client, LockId::Database(0));
   a.Commit();
 
   // A competing client requests X: must invalidate the inherited S and
@@ -172,8 +171,6 @@ TEST(SliTest, InvalidRequestsGarbageCollectedAtCommit) {
 
   a.Begin(1);
   ASSERT_TRUE(lm.Lock(&a.client, LockId::Table(0, 1), LockMode::kS).ok());
-  ForceHot(lm, a.client, LockId::Table(0, 1));
-  ForceHot(lm, a.client, LockId::Database(0));
   a.Commit();
 
   LockClient other;
@@ -194,11 +191,7 @@ TEST(SliTest, Criterion1RowLocksNotInherited) {
   Agent a(&lm, 0);
   a.Begin(1);
   ASSERT_TRUE(lm.Lock(&a.client, LockId::Row(0, 1, 2, 3), LockMode::kS).ok());
-  // Make everything hot so only the level criterion can reject.
-  ForceHot(lm, a.client, LockId::Row(0, 1, 2, 3));
-  ForceHot(lm, a.client, LockId::Page(0, 1, 2));
-  ForceHot(lm, a.client, LockId::Table(0, 1));
-  ForceHot(lm, a.client, LockId::Database(0));
+  // Every head is hot, so only the level criterion can reject.
   CounterSet counters;
   {
     ScopedCounterSet routed(&counters);
@@ -213,11 +206,11 @@ TEST(SliTest, Criterion1RowLocksNotInherited) {
 }
 
 TEST(SliTest, Criterion2ColdLocksNotInherited) {
-  LockManager lm(SliOptions());
+  LockManager lm(SliOptions(kDefaultHotMin));
   Agent a(&lm, 0);
   a.Begin(1);
   ASSERT_TRUE(lm.Lock(&a.client, LockId::Table(0, 1), LockMode::kS).ok());
-  // No ForceHot: the head is cold.
+  // No contention at the default threshold: the head is cold.
   CounterSet counters;
   {
     ScopedCounterSet routed(&counters);
@@ -231,8 +224,6 @@ TEST(SliTest, Criterion3ExclusiveModesNotInherited) {
   Agent a(&lm, 0);
   a.Begin(1);
   ASSERT_TRUE(lm.Lock(&a.client, LockId::Table(0, 1), LockMode::kX).ok());
-  ForceHot(lm, a.client, LockId::Table(0, 1));
-  ForceHot(lm, a.client, LockId::Database(0));
   CounterSet counters;
   {
     ScopedCounterSet routed(&counters);
@@ -249,8 +240,6 @@ TEST(SliTest, Criterion4WaiterBlocksInheritance) {
   Agent a(&lm, 0);
   a.Begin(1);
   ASSERT_TRUE(lm.Lock(&a.client, LockId::Table(0, 1), LockMode::kS).ok());
-  ForceHot(lm, a.client, LockId::Table(0, 1));
-  ForceHot(lm, a.client, LockId::Database(0));
 
   // A conflicting writer queues up and waits.
   LockClient writer;
@@ -279,15 +268,14 @@ TEST(SliTest, Criterion4WaiterBlocksInheritance) {
 }
 
 TEST(SliTest, Criterion5ParentIneligibleBlocksChild) {
-  LockManagerOptions o = SliOptions();
-  LockManager lm(o);
+  LockManager lm(SliOptions(kDefaultHotMin));
   Agent a(&lm, 0);
   a.Begin(1);
   // Page lock hot, table lock cold → page may not be inherited (parent
   // fails criterion 2) even though the page itself qualifies.
   ASSERT_TRUE(lm.Lock(&a.client, LockId::Page(0, 1, 7), LockMode::kIS).ok());
-  ForceHot(lm, a.client, LockId::Page(0, 1, 7));
-  ForceHot(lm, a.client, LockId::Database(0));
+  ForceHot(a.client, LockId::Page(0, 1, 7));
+  ForceHot(a.client, LockId::Database(0));
   // Table stays cold.
   CounterSet counters;
   {
@@ -305,8 +293,6 @@ TEST(SliTest, AbortDoesNotInherit) {
   Agent a(&lm, 0);
   a.Begin(1);
   ASSERT_TRUE(lm.Lock(&a.client, LockId::Table(0, 1), LockMode::kS).ok());
-  ForceHot(lm, a.client, LockId::Table(0, 1));
-  ForceHot(lm, a.client, LockId::Database(0));
   a.Abort();
   EXPECT_EQ(a.sli.inherited_count(), 0u);
   lm.table().ForEachHead([](LockHead* h) { EXPECT_TRUE(h->QueueEmpty()); });
@@ -322,8 +308,6 @@ TEST(SliTest, SliInducedDeadlockAvoidedByInvalidation) {
 
   a.Begin(1);
   ASSERT_TRUE(lm.Lock(&a.client, LockId::Table(0, 7), LockMode::kS).ok());
-  ForceHot(lm, a.client, LockId::Table(0, 7));
-  ForceHot(lm, a.client, LockId::Database(0));
   a.Commit();
 
   LockClient b;
@@ -353,8 +337,6 @@ TEST(SliTest, ReclaimThenUpgradeWorks) {
   Agent a(&lm, 0);
   a.Begin(1);
   ASSERT_TRUE(lm.Lock(&a.client, LockId::Table(0, 1), LockMode::kIS).ok());
-  ForceHot(lm, a.client, LockId::Table(0, 1));
-  ForceHot(lm, a.client, LockId::Database(0));
   a.Commit();
 
   a.Begin(2);
@@ -389,8 +371,6 @@ TEST(SliTest, OutcomeAccountingBalances) {
     a.Begin(txn);
     const uint32_t t = static_cast<uint32_t>(rng.Uniform(1, 3));
     ASSERT_TRUE(lm.Lock(&a.client, LockId::Table(0, t), LockMode::kS).ok());
-    ForceHot(lm, a.client, LockId::Table(0, t));
-    ForceHot(lm, a.client, LockId::Database(0));
     a.Commit();
 
     if (rng.Bernoulli(0.3)) {
@@ -419,169 +399,13 @@ TEST(SliTest, OutcomeAccountingBalances) {
 }
 
 TEST(SliTest, ConcurrentAgentsMutualExclusionPreserved) {
-  // The serializability smoke test with SLI on: X row updates never lost,
-  // while table/database intent locks flow between transactions.
-  LockManagerOptions o = SliOptions();
-  o.sli_mode = SliMode::kAlwaysInherit;  // inherit aggressively
-  LockManager lm(o);
+  // The serializability smoke test with SLI on and every head hot: X row
+  // updates are never lost while table and database intent locks flow
+  // between transactions.
+  LockManager lm(SliOptions());
 
   constexpr int kAgents = 4;
   constexpr int kIters = 400;
-  int64_t value = 0;
-  std::vector<std::unique_ptr<Agent>> agents;
-  for (int i = 0; i < kAgents; ++i) {
-    agents.push_back(std::make_unique<Agent>(&lm, i));
-  }
-  std::vector<std::thread> threads;
-  std::atomic<uint64_t> next_txn{1};
-  for (int i = 0; i < kAgents; ++i) {
-    threads.emplace_back([&, i] {
-      Agent* ag = agents[i].get();
-      for (int iter = 0; iter < kIters; ++iter) {
-        ag->Begin(next_txn.fetch_add(1));
-        Status st = lm.Lock(&ag->client, LockId::Row(0, 1, 1, 1), LockMode::kX);
-        ASSERT_TRUE(st.ok()) << st.ToString();
-        ++value;
-        ag->Commit();
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(value, static_cast<int64_t>(kAgents) * kIters);
-}
-
-// ---- adaptive per-head SLI (criterion 2 with hysteresis) ----
-
-LockHead* HeadOf(LockClient& c, const LockId& id) {
-  LockRequest* r = c.cache().Find(id);
-  return r == nullptr ? nullptr : r->head;
-}
-
-TEST(SliTest, AdaptiveEnablesOnHeatAndCoolsDown) {
-  LockManagerOptions o = SliOptions();
-  o.sli_mode = SliMode::kAdaptive;
-  o.hot_min_contended = 4;  // enter threshold; exit at 0 (band 1..3)
-  LockManager lm(o);
-  Agent a(&lm, 0);
-
-  // Cold commit: adaptive bit off, quiet window — nothing inherited.
-  a.Begin(1);
-  ASSERT_TRUE(lm.Lock(&a.client, LockId::Table(0, 1), LockMode::kS).ok());
-  CounterSet cold;
-  {
-    ScopedCounterSet routed(&cold);
-    a.Commit();
-  }
-  EXPECT_EQ(cold.Get(Counter::kSliInherited), 0u);
-  EXPECT_EQ(cold.Get(Counter::kSliAdaptiveEnable), 0u);
-
-  // Warm both heads past the enter threshold: the commit flips the
-  // adaptive bit (one enable per head) and inherits.
-  a.Begin(2);
-  ASSERT_TRUE(lm.Lock(&a.client, LockId::Table(0, 1), LockMode::kS).ok());
-  LockHead* table = HeadOf(a.client, LockId::Table(0, 1));
-  LockHead* dbh = HeadOf(a.client, LockId::Database(0));
-  ASSERT_NE(table, nullptr);
-  ASSERT_NE(dbh, nullptr);
-  for (int i = 0; i < 6; ++i) {
-    table->hot.Record(true);
-    dbh->hot.Record(true);
-  }
-  CounterSet warm;
-  {
-    ScopedCounterSet routed(&warm);
-    a.Commit();
-  }
-  EXPECT_EQ(warm.Get(Counter::kSliAdaptiveEnable), 2u);
-  EXPECT_EQ(warm.Get(Counter::kSliInherited), 2u);
-  EXPECT_TRUE(table->hot.adaptive_hot());
-
-  // Mid-band window (0 < contended < enter): hysteresis keeps the bit
-  // on and the locks stay heritable, where plain IsHot already says cold.
-  a.Begin(3);
-  ASSERT_TRUE(lm.Lock(&a.client, LockId::Table(0, 1), LockMode::kS).ok());
-  for (int i = 0; i < 16; ++i) {
-    table->hot.Record(false);
-    dbh->hot.Record(false);
-  }
-  for (int i = 0; i < 2; ++i) {
-    table->hot.Record(true);
-    dbh->hot.Record(true);
-  }
-  ASSERT_FALSE(table->hot.IsHot(o.hot_min_contended));
-  CounterSet mid;
-  {
-    ScopedCounterSet routed(&mid);
-    a.Commit();
-  }
-  EXPECT_EQ(mid.Get(Counter::kSliAdaptiveEnable), 0u);
-  EXPECT_EQ(mid.Get(Counter::kSliAdaptiveCooldown), 0u);
-  EXPECT_EQ(mid.Get(Counter::kSliInherited), 2u);
-
-  // Fully calm window (no contended acquisition): the bit drops, the commit
-  // releases instead of inheriting, and the cool-down is counted.
-  a.Begin(4);
-  ASSERT_TRUE(lm.Lock(&a.client, LockId::Table(0, 1), LockMode::kS).ok());
-  for (int i = 0; i < 16; ++i) {
-    table->hot.Record(false);
-    dbh->hot.Record(false);
-  }
-  CounterSet cool;
-  {
-    ScopedCounterSet routed(&cool);
-    a.Commit();
-  }
-  EXPECT_EQ(cool.Get(Counter::kSliAdaptiveCooldown), 2u);
-  EXPECT_EQ(cool.Get(Counter::kSliInherited), 0u);
-  EXPECT_EQ(a.sli.inherited_count(), 0u);
-  EXPECT_FALSE(table->hot.adaptive_hot());
-}
-
-/// Commits one table-S transaction under `mode` and returns how many locks
-/// it inherited; `hot` saturates the table and database windows first.
-uint64_t InheritedByOneCommit(SliMode mode, bool hot) {
-  LockManagerOptions o = SliOptions();
-  o.sli_mode = mode;
-  LockManager lm(o);
-  Agent a(&lm, 0);
-  a.Begin(1);
-  EXPECT_TRUE(lm.Lock(&a.client, LockId::Table(0, 1), LockMode::kS).ok());
-  if (hot) {
-    ForceHot(lm, a.client, LockId::Table(0, 1));
-    ForceHot(lm, a.client, LockId::Database(0));
-  }
-  CounterSet counters;
-  {
-    ScopedCounterSet routed(&counters);
-    a.Commit();
-  }
-  EXPECT_EQ(a.sli.inherited_count(), counters.Get(Counter::kSliInherited));
-  return counters.Get(Counter::kSliInherited);
-}
-
-TEST(SliTest, EachPresetInheritsAsItsModeSays) {
-  // Cold heads: only the preset that skips criterion 2 inherits.
-  EXPECT_EQ(InheritedByOneCommit(SliMode::kOff, false), 0u);
-  EXPECT_EQ(InheritedByOneCommit(SliMode::kOn, false), 0u);
-  EXPECT_EQ(InheritedByOneCommit(SliMode::kAlwaysInherit, false), 2u);
-  EXPECT_EQ(InheritedByOneCommit(SliMode::kAdaptive, false), 0u);
-  // Hot heads: every preset but kOff inherits the db IS and the table S.
-  EXPECT_EQ(InheritedByOneCommit(SliMode::kOff, true), 0u);
-  EXPECT_EQ(InheritedByOneCommit(SliMode::kOn, true), 2u);
-  EXPECT_EQ(InheritedByOneCommit(SliMode::kAlwaysInherit, true), 2u);
-  EXPECT_EQ(InheritedByOneCommit(SliMode::kAdaptive, true), 2u);
-  EXPECT_STREQ(SliModeName(SliMode::kAdaptive), "adaptive");
-  EXPECT_STREQ(SliModeName(SliMode::kAlwaysInherit), "always_on");
-}
-
-TEST(SliTest, AdaptiveConcurrentAgentsPreserveMutualExclusion) {
-  LockManagerOptions o = SliOptions();
-  o.sli_mode = SliMode::kAdaptive;
-  o.hot_min_contended = 2;
-  LockManager lm(o);
-
-  constexpr int kAgents = 2;
-  constexpr int kIters = 300;
   int64_t value = 0;
   std::vector<std::unique_ptr<Agent>> agents;
   for (int i = 0; i < kAgents; ++i) {
@@ -599,37 +423,56 @@ TEST(SliTest, AdaptiveConcurrentAgentsPreserveMutualExclusion) {
         Status st = lm.Lock(&ag->client, LockId::Row(0, 1, 1, 1), LockMode::kX);
         ASSERT_TRUE(st.ok()) << st.ToString();
         ++value;
-        // Saturate the windows so the adaptive policy deterministically
-        // stays enabled; the X row itself is never heritable (criteria
-        // 1 and 3), only its intent-lock parents are.
-        ForceHot(lm, ag->client, LockId::Table(0, 1));
-        ForceHot(lm, ag->client, LockId::Database(0));
         ag->Commit();
       }
     });
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(value, static_cast<int64_t>(kAgents) * kIters);
-  uint64_t enables = 0, inherits = 0;
+  // The X row is never heritable (criteria 1 and 3); its intent-lock
+  // parents are.
+  uint64_t inherits = 0;
   for (const CounterSet& c : per_thread) {
-    enables += c.Get(Counter::kSliAdaptiveEnable);
     inherits += c.Get(Counter::kSliInherited);
   }
-  EXPECT_GT(enables, 0u);
   EXPECT_GT(inherits, 0u);
 }
 
-TEST(SliTest, SliDisabledInheritsNothing) {
-  LockManagerOptions o = SliOptions();
-  o.sli_mode = SliMode::kOff;
+// ---- criterion 2's threshold ----
+
+/// Commits one table-S transaction and returns how many locks it
+/// inherited; `hot` saturates the table and database windows first.
+uint64_t InheritedByOneCommit(const LockManagerOptions& o, bool hot) {
   LockManager lm(o);
   Agent a(&lm, 0);
   a.Begin(1);
-  ASSERT_TRUE(lm.Lock(&a.client, LockId::Table(0, 1), LockMode::kS).ok());
-  ForceHot(lm, a.client, LockId::Table(0, 1));
-  ForceHot(lm, a.client, LockId::Database(0));
-  a.Commit();
-  EXPECT_EQ(a.sli.inherited_count(), 0u);
+  EXPECT_TRUE(lm.Lock(&a.client, LockId::Table(0, 1), LockMode::kS).ok());
+  if (hot) {
+    ForceHot(a.client, LockId::Table(0, 1));
+    ForceHot(a.client, LockId::Database(0));
+  }
+  CounterSet counters;
+  {
+    ScopedCounterSet routed(&counters);
+    a.Commit();
+  }
+  EXPECT_EQ(a.sli.inherited_count(), counters.Get(Counter::kSliInherited));
+  return counters.Get(Counter::kSliInherited);
+}
+
+TEST(SliTest, OnModeInheritsAtBothThresholds) {
+  // A cold window: the default threshold rejects the db IS and the table S;
+  // threshold 0 counts every head as hot and inherits both.
+  EXPECT_EQ(InheritedByOneCommit(SliOptions(kDefaultHotMin), false), 0u);
+  EXPECT_EQ(InheritedByOneCommit(SliOptions(0), false), 2u);
+  // A hot window passes the default threshold.
+  EXPECT_EQ(InheritedByOneCommit(SliOptions(kDefaultHotMin), true), 2u);
+  // SLI off inherits nothing, even with every head hot.
+  LockManagerOptions off = SliOptions(0);
+  off.sli_mode = SliMode::kOff;
+  EXPECT_EQ(InheritedByOneCommit(off, true), 0u);
+  EXPECT_STREQ(SliModeName(SliMode::kOff), "sli_off");
+  EXPECT_STREQ(SliModeName(SliMode::kOn), "sli_on");
 }
 
 }  // namespace

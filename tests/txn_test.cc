@@ -107,7 +107,8 @@ TEST(TxnTest, LocksReleasedOnCommitAndAbort) {
 
 TEST(TxnTest, SliFlowsThroughBeginCommitBoundary) {
   TxnHarness h;
-  h.lock_manager->mutable_options().sli_mode = SliMode::kAlwaysInherit;
+  h.lock_manager->mutable_options().sli_mode = SliMode::kOn;
+  h.lock_manager->mutable_options().hot_min_contended = 0;  // every head hot
   AgentContext agent(0);
 
   h.txn_manager->Begin(&agent);
@@ -135,7 +136,8 @@ TEST(TxnTest, AbortPreservesAgentSpeculation) {
   // A user abort (e.g. TM1 invalid input) must not throw away the agent's
   // inherited locks — the next transaction can still reclaim them.
   TxnHarness h;
-  h.lock_manager->mutable_options().sli_mode = SliMode::kAlwaysInherit;
+  h.lock_manager->mutable_options().sli_mode = SliMode::kOn;
+  h.lock_manager->mutable_options().hot_min_contended = 0;  // every head hot
   AgentContext agent(0);
 
   h.txn_manager->Begin(&agent);

@@ -393,11 +393,11 @@ TEST(ContentionTest, ScenariosRunConcurrentlyAndReportHeat) {
     EXPECT_GT(off.commits, 0u) << ContentionScenarioName(sc);
     EXPECT_EQ(off.counters.Get(Counter::kSliInherited), 0u);
 
-    // Adaptive mode between runs (as macro_contention switches it): still
+    // SLI on between runs (as macro_contention switches it): still
     // commits, and the heat probe sees the live lock heads.
-    db.SetSliMode(SliMode::kAdaptive);
-    const DriverResult adaptive = RunWorkload(db, wl, dopts);
-    EXPECT_GT(adaptive.commits, 0u) << ContentionScenarioName(sc);
+    db.SetSliMode(SliMode::kOn);
+    const DriverResult on = RunWorkload(db, wl, dopts);
+    EXPECT_GT(on.commits, 0u) << ContentionScenarioName(sc);
 
     const ContentionHeatReport heat = ContentionWorkload::MeasureHeat(db);
     EXPECT_GT(heat.heads, 0u) << ContentionScenarioName(sc);
