@@ -8,11 +8,11 @@
 //
 // Section 2 — commit pipeline end-to-end (the headline): TPC-B and the
 // TM1 full mix with a realistic log-device latency charged per flush,
-// comparing the legacy pipeline (locks held across the durable wait)
-// against the decentralized one (early lock release) and the speculative
-// one; all three publish staged appends. Every row reports the flushes and
-// commits per flush of its measurement window: under a slow device,
-// leader/follower group commit must still batch.
+// comparing the decentralized pipeline (early lock release, synchronous
+// durability waits) against the speculative one (deferred acks); both
+// publish staged appends. Every row reports the flushes and commits per
+// flush of its measurement window: under a slow device, leader/follower
+// group commit must still batch.
 //
 // Section 3 — SLI matrix: the same workloads through RunWorkload at an
 // agent ladder, SLI off and on, on the new pipeline.
@@ -121,7 +121,7 @@ LogAppendSample RunLogAppend(const char* label, int threads,
 
 struct WorkloadSample {
   std::string workload;
-  std::string config;  ///< "legacy" / "decentralized" / "speculative" /
+  std::string config;  ///< "decentralized" / "speculative" /
                        ///< "sli_off" / "sli_on"
   int agents = 0;
   double tps = 0;
@@ -129,7 +129,6 @@ struct WorkloadSample {
   uint64_t user_aborts = 0;
   uint64_t deadlock_aborts = 0;
   uint64_t lock_waits = 0;
-  uint64_t early_release = 0;
   uint64_t resv_retries = 0;
   uint64_t gc_woken = 0;
   uint64_t flushes = 0;            ///< log flushes in the measured window
@@ -157,7 +156,6 @@ WorkloadSample RunWorkloadPoint(PaperWorkload& pw, const char* config,
   s.user_aborts = r.user_aborts;
   s.deadlock_aborts = r.deadlock_aborts;
   s.lock_waits = r.counters.Get(Counter::kLockWaits);
-  s.early_release = r.counters.Get(Counter::kTxnEarlyRelease);
   s.resv_retries = r.counters.Get(Counter::kLogResvRetries);
   s.gc_woken = r.counters.Get(Counter::kGroupCommitWaitersWoken);
   s.flushes = r.log_flushes;
@@ -172,20 +170,15 @@ WorkloadSample RunWorkloadPoint(PaperWorkload& pw, const char* config,
 }
 
 /// A fresh database + loaded workload with the commit pipeline configured
-/// as "legacy" (ELR off: locks held until durable), "decentralized" (the
-/// defaults: ELR + synchronous horizon waits) or "speculative"
-/// (decentralized + asynchronous commit dependencies — commits park
-/// deferred acks instead of stalling).
+/// as "decentralized" (the defaults: ELR + synchronous horizon waits) or
+/// "speculative" (decentralized + asynchronous commit dependencies —
+/// commits park deferred acks instead of stalling).
 std::unique_ptr<PaperWorkload> MakeConfigured(const char* which,
                                               const char* config, bool sli,
                                               bool quick) {
   DatabaseOptions o = BenchDbOptions(sli);
   o.log.simulated_io_delay_us = kLogIoDelayUs;
-  if (std::strcmp(config, "legacy") == 0) {
-    o.txn.early_lock_release = false;
-  } else if (std::strcmp(config, "speculative") == 0) {
-    o.txn.speculative_reads = true;
-  }
+  o.txn.speculative_reads = std::strcmp(config, "speculative") == 0;
   auto pw = std::make_unique<PaperWorkload>();
   pw->db = std::make_unique<Database>(o);
   if (std::strcmp(which, "TPC-B") == 0) {
@@ -267,7 +260,7 @@ int Main(int argc, char** argv) {
               best_of("batched_tiny") / best_of("reserve_tiny"),
               best_of("batched_tiny"), best_of("reserve_tiny"));
 
-  // ---- Section 2: commit pipeline, legacy vs decentralized vs speculative --
+  // ---- Section 2: commit pipeline, decentralized vs speculative -----------
   std::printf("\n== commit pipeline (%llu us log device, SLI on) ==\n",
               static_cast<unsigned long long>(kLogIoDelayUs));
   TablePrinter pipe_table({"workload", "pipeline", "agents", "tps",
@@ -275,7 +268,7 @@ int Main(int argc, char** argv) {
                            "deferred_acks"});
   std::vector<WorkloadSample> pipe_samples;
   for (const char* wl : kWorkloads) {
-    for (const char* config : {"legacy", "decentralized", "speculative"}) {
+    for (const char* config : {"decentralized", "speculative"}) {
       std::unique_ptr<PaperWorkload> pw =
           MakeConfigured(wl, config, /*sli=*/true, args.quick);
       for (int agents : agent_ladder) {
@@ -293,8 +286,7 @@ int Main(int argc, char** argv) {
 
   // ---- Section 3: SLI off/on on the new pipeline ---------------------------
   std::printf("\n== SLI matrix (decentralized pipeline) ==\n");
-  TablePrinter sli_table({"workload", "sli", "agents", "tps", "commits",
-                          "early_rel"});
+  TablePrinter sli_table({"workload", "sli", "agents", "tps", "commits"});
   std::vector<WorkloadSample> sli_samples;
   for (const char* wl : kWorkloads) {
     for (const bool sli : {false, true}) {
@@ -307,27 +299,19 @@ int Main(int argc, char** argv) {
         sli_table.Row(
             {s.workload, sli ? "on" : "off", Fmt("%d", s.agents),
              Fmt("%.0f", s.tps),
-             Fmt("%llu", static_cast<unsigned long long>(s.commits)),
-             Fmt("%llu", static_cast<unsigned long long>(s.early_release))});
+             Fmt("%llu", static_cast<unsigned long long>(s.commits))});
       }
     }
   }
 
-  // Headlines: best multi-agent throughput, decentralized over legacy and
-  // speculative over plain ELR (the read-mostly gap the commit-dependency
-  // machinery exists to close).
+  // Headline: best multi-agent throughput, speculative over plain ELR (what
+  // deferred acks buy once no commit waits for its own flush).
   for (const char* wl : kWorkloads) {
-    double best_legacy = 0, best_elr = 0, best_spec = 0;
+    double best_elr = 0, best_spec = 0;
     for (const WorkloadSample& s : pipe_samples) {
       if (s.workload != wl || s.agents < 2) continue;
-      if (s.config == "legacy") best_legacy = std::max(best_legacy, s.tps);
       if (s.config == "decentralized") best_elr = std::max(best_elr, s.tps);
       if (s.config == "speculative") best_spec = std::max(best_spec, s.tps);
-    }
-    if (best_legacy > 0) {
-      std::printf("# %s multi-agent peak: decentralized/legacy = %.2fx "
-                  "(%.0f vs %.0f tps)\n",
-                  wl, best_elr / best_legacy, best_elr, best_legacy);
     }
     if (best_elr > 0 && best_spec > 0) {
       std::printf("# %s multi-agent peak: speculative/ELR = %.2fx "
@@ -349,7 +333,6 @@ int Main(int argc, char** argv) {
       json.Key("user_aborts").Value(s.user_aborts);
       json.Key("deadlock_aborts").Value(s.deadlock_aborts);
       json.Key("lock_waits").Value(s.lock_waits);
-      json.Key("early_release_commits").Value(s.early_release);
       json.Key("log_resv_retries").Value(s.resv_retries);
       json.Key("gc_waiters_woken").Value(s.gc_woken);
       json.Key("flushes").Value(s.flushes);

@@ -1,7 +1,6 @@
 #include "src/engine/checkpointer.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstring>
 #include <vector>
 
@@ -9,40 +8,6 @@
 #include "src/stats/counters.h"
 
 namespace slidb {
-
-Checkpointer::Checkpointer(Database* db, CheckpointerOptions options)
-    : db_(db), options_(options) {}
-
-Checkpointer::~Checkpointer() { Stop(); }
-
-void Checkpointer::Start() {
-  if (options_.interval_ms == 0 || thread_.joinable()) return;
-  stop_ = false;
-  thread_ = std::thread([this] { ThreadMain(); });
-}
-
-void Checkpointer::Stop() {
-  {
-    std::lock_guard<std::mutex> g(mu_);
-    stop_ = true;
-  }
-  cv_.notify_all();
-  if (thread_.joinable()) thread_.join();
-}
-
-void Checkpointer::ThreadMain() {
-  std::unique_lock<std::mutex> lk(mu_);
-  while (!stop_) {
-    cv_.wait_for(lk, std::chrono::milliseconds(options_.interval_ms),
-                 [this] { return stop_; });
-    if (stop_) break;
-    lk.unlock();
-    // Lock failures abandon the pass (no end record); the next tick tries
-    // again. I/O failure poisons the device and aborts via the sink.
-    (void)CheckpointNow();
-    lk.lock();
-  }
-}
 
 Status Checkpointer::CheckpointNow(Lsn* redo_start_out) {
   std::lock_guard<std::mutex> serialize(pass_mu_);
@@ -172,7 +137,6 @@ Status Checkpointer::CheckpointNow(Lsn* redo_start_out) {
   if (db_->log_device() != nullptr) {
     db_->log_device()->RecycleBelow(redo_start);
   }
-  completed_.fetch_add(1, std::memory_order_relaxed);
   CountEvent(Counter::kCheckpointsCompleted);
   CountEvent(Counter::kCheckpointImageRecords, images);
   if (redo_start_out != nullptr) *redo_start_out = redo_start;

@@ -27,11 +27,8 @@
 // CheckpointEndPayload.
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <mutex>
-#include <thread>
 
 #include "src/lock/lock_client.h"
 #include "src/log/log_record.h"
@@ -41,15 +38,11 @@ namespace slidb {
 
 class Database;
 
-struct CheckpointerOptions {
-  /// Background checkpoint cadence; 0 = no thread, CheckpointNow() only.
-  uint32_t interval_ms = 0;
-};
-
+/// Runs checkpoint passes on the caller's thread (Database::CheckpointNow);
+/// it starts no thread of its own.
 class Checkpointer {
  public:
-  Checkpointer(Database* db, CheckpointerOptions options);
-  ~Checkpointer();
+  explicit Checkpointer(Database* db) : db_(db) {}
 
   Checkpointer(const Checkpointer&) = delete;
   Checkpointer& operator=(const Checkpointer&) = delete;
@@ -63,32 +56,14 @@ class Checkpointer {
   /// against itself; safe alongside full-speed agent traffic.
   Status CheckpointNow(Lsn* redo_start_out = nullptr);
 
-  /// Start/stop the background thread (no-ops when interval_ms == 0 /
-  /// not running). Stop() is idempotent and joins the thread.
-  void Start();
-  void Stop();
-
-  uint64_t completed() const {
-    return completed_.load(std::memory_order_relaxed);
-  }
-
  private:
-  void ThreadMain();
-
   Database* db_;
-  CheckpointerOptions options_;
   /// Lock identity for imaging S locks. The checkpointer holds at most one
   /// lock chain (row + its intents, or one table) at a time and never
   /// waits while holding another, so it cannot participate in a deadlock
   /// cycle.
   LockClient lock_client_;
   std::mutex pass_mu_;  ///< serializes concurrent CheckpointNow calls
-
-  std::thread thread_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool stop_ = false;
-  std::atomic<uint64_t> completed_{0};
 };
 
 }  // namespace slidb

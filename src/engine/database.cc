@@ -28,16 +28,10 @@ Database::Database(DatabaseOptions options) : options_(std::move(options)) {
   lock_manager_ = std::make_unique<LockManager>(options_.lock);
   txn_manager_ = std::make_unique<TransactionManager>(
       lock_manager_.get(), log_manager_.get(), &catalog_, options_.txn);
-  checkpointer_ = std::make_unique<Checkpointer>(
-      this, CheckpointerOptions{options_.checkpoint_interval_ms});
-  checkpointer_->Start();
+  checkpointer_ = std::make_unique<Checkpointer>(this);
 }
 
-Database::~Database() {
-  // Member destruction order handles the rest; stop the background thread
-  // explicitly first so no pass is mid-flight while managers tear down.
-  if (checkpointer_) checkpointer_->Stop();
-}
+Database::~Database() = default;
 
 Status Database::CheckpointNow(Lsn* redo_start_out) {
   return checkpointer_->CheckpointNow(redo_start_out);

@@ -39,9 +39,6 @@ struct DatabaseOptions {
   /// Payload capacity of each log segment file. Must be nonzero when
   /// log_path is set (the constructor fails stop otherwise).
   uint64_t log_segment_bytes = 16u << 20;
-  /// Nonzero: run a background fuzzy checkpointer at this cadence.
-  /// CheckpointNow() works either way.
-  uint32_t checkpoint_interval_ms = 0;
   /// Admission governor limits (defaults off — every AdmitTxn succeeds).
   GovernorOptions governor;
 };
@@ -129,7 +126,6 @@ class Database {
 
   /// Run one synchronous fuzzy checkpoint pass (see engine/checkpointer.h).
   Status CheckpointNow(Lsn* redo_start_out = nullptr);
-  Checkpointer& checkpointer() { return *checkpointer_; }
 
   // ---- transactional row operations (2PL) ----
 
@@ -210,8 +206,6 @@ class Database {
   std::unique_ptr<TransactionManager> txn_manager_;
   AdmissionGovernor governor_;
   Catalog catalog_;
-  // Declared last: destroyed first, so its background thread stops before
-  // the managers it appends through are torn down.
   std::unique_ptr<Checkpointer> checkpointer_;
   std::atomic<uint64_t> agent_ids_{0};
 };

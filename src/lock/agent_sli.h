@@ -51,11 +51,18 @@ class AgentSliState {
 
   size_t inherited_count() const { return inherited_count_; }
 
+  /// Durability horizon of the transaction that last released through this
+  /// state (LockManager::ReleaseAll): every inherited request was granted
+  /// to it, or reclaimed by it, under a dependency at most this.
+  uint64_t inherited_dep() const { return inherited_dep_; }
+  void set_inherited_dep(uint64_t lsn) { inherited_dep_ = lsn; }
+
  private:
   uint32_t agent_id_;
   LockManager* lock_manager_ = nullptr;
   LockRequest* inherited_head_ = nullptr;
   size_t inherited_count_ = 0;
+  uint64_t inherited_dep_ = 0;
   RequestPool pool_;
 };
 

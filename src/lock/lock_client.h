@@ -57,8 +57,9 @@ class LockClient {
   void SetDeadline(uint64_t deadline_ns) { deadline_ns_ = deadline_ns; }
   uint64_t deadline_ns() const { return deadline_ns_; }
 
-  /// Record a durability dependency: the acquired head was last written by
-  /// a transaction whose commit record ends at `lsn` (0 = none). Commit
+  /// Record a durability dependency: what the acquired lock lets this
+  /// transaction read was last written by a transaction whose commit record
+  /// ends at `lsn` (0 = none; LockHead::DepFor picks it by mode). Commit
   /// externalizes only once durable >= dep_lsn(), so a caller can never
   /// observe state an early-released, crash-lost writer produced — by
   /// blocking (default) or by deferring the acknowledgement

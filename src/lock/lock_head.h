@@ -3,6 +3,7 @@
 // hot-lock tracker SLI's criterion 2 consults (paper Figure 2).
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cassert>
@@ -133,14 +134,26 @@ struct LockHead {
                                    : hold_cycles - hold_cycles / 4 + sample / 4;
   }
 
-  /// Commit LSN of the latest write-mode holder (X/SIX/U/IX) that released
-  /// or inherited this lock — the durability horizon a later acquirer of
-  /// this head depends on under early lock release (see TransactionManager
-  /// read-only commit). Monotone max; stamped under the head latch on
-  /// release and latch-free (CAS max) on SLI inheritance; read with
-  /// acquire by acquirers. Survives head reclamation via the bucket's
-  /// retired_dep fold (LockTable).
+  /// The durability horizons a later acquirer of this head depends on
+  /// under early lock release (see TransactionManager read-only commit),
+  /// split by what the released mode licenses:
+  ///  * `last_commit_lsn` — commit LSN of the latest X/SIX/U holder that
+  ///    released or inherited this lock. Every grant folds it in: an X
+  ///    holder writes what this lock protects without child locks, and SIX
+  ///    and U stamp here too, conservatively.
+  ///  * `last_ix_commit_lsn` — the same for IX holders. IX never licenses
+  ///    data access by itself: its holder wrote children under child X
+  ///    locks, each carrying its own stamp, so only a mode that conflicts
+  ///    with IX (S, SIX, U, X — one that reads the children without child
+  ///    locks) folds it in. IS and IX readers take child locks and wait on
+  ///    those stamps alone.
+  /// Monotone max; stamped under the head latch on release and latch-free
+  /// (CAS max) on SLI inheritance; read with acquire by acquirers (DepFor).
+  /// `last_commit_lsn` survives head reclamation via the bucket's
+  /// retired_dep fold (LockTable). `last_ix_commit_lsn` needs no fold: only
+  /// row heads are reclaimed, and rows never hold IX.
   std::atomic<uint64_t> last_commit_lsn{0};
+  std::atomic<uint64_t> last_ix_commit_lsn{0};
 
   /// FIFO request queue (paper Figure 3). Granted requests live at the
   /// front, waiters behind them, strictly in arrival order.
@@ -151,14 +164,25 @@ struct LockHead {
   /// per thread currently operating on the head outside the bucket latch.
   std::atomic<uint32_t> pin_count{0};
 
-  /// Monotone max-fold into last_commit_lsn (release/relaxed CAS loop).
-  void StampCommitLsn(uint64_t lsn) {
-    uint64_t cur = last_commit_lsn.load(std::memory_order_relaxed);
+  /// Stamp `lsn` as the horizon a released or inherited write-class `mode`
+  /// leaves behind: IX into last_ix_commit_lsn, X/SIX/U into
+  /// last_commit_lsn (monotone max, release/relaxed CAS loop).
+  void StampCommitLsn(LockMode mode, uint64_t lsn) {
+    std::atomic<uint64_t>& stamp =
+        mode == LockMode::kIX ? last_ix_commit_lsn : last_commit_lsn;
+    uint64_t cur = stamp.load(std::memory_order_relaxed);
     while (cur < lsn &&
-           !last_commit_lsn.compare_exchange_weak(cur, lsn,
-                                                  std::memory_order_release,
-                                                  std::memory_order_relaxed)) {
+           !stamp.compare_exchange_weak(cur, lsn, std::memory_order_release,
+                                        std::memory_order_relaxed)) {
     }
+  }
+
+  /// The horizon a grant (or upgrade) to `mode` depends on: the X/SIX/U
+  /// stamp always, the IX stamp only when `mode` conflicts with IX.
+  uint64_t DepFor(LockMode mode) const {
+    const uint64_t dep = last_commit_lsn.load(std::memory_order_acquire);
+    if (Compatible(LockMode::kIX, mode)) return dep;
+    return std::max(dep, last_ix_commit_lsn.load(std::memory_order_acquire));
   }
 
   /// Hash chain link, protected by the bucket latch. Doubles as the

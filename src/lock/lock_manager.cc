@@ -37,9 +37,11 @@ constexpr uint64_t kSpinCapNs = 40'000;
 constexpr uint64_t kDeadlockCheckNs = 1'000'000;
 
 /// Modes whose holder may have written data this lock protects (directly,
-/// or via children under an intent mode). Only these stamp the durability
-/// horizon at release — pure read modes (S/IS) protect nothing a reader
-/// could lose in a crash.
+/// or via children under an intent mode). Only these stamp a durability
+/// horizon at release or inheritance — pure read modes (S/IS) protect
+/// nothing a reader could lose in a crash. IX stamps its own field, which
+/// only modes that read children without child locks fold in
+/// (LockHead::DepFor).
 bool IsWriteClassMode(LockMode m) {
   return m == LockMode::kX || m == LockMode::kSIX || m == LockMode::kU ||
          m == LockMode::kIX;
@@ -285,7 +287,7 @@ Status LockManager::AcquireNew(LockClient* c, const LockId& id,
     h->Append(req);
     h->SummaryAdd(mode);
     SLIDB_DCHECK_SUMMARY(h);
-    c->NoteDep(h->last_commit_lsn.load(std::memory_order_relaxed));
+    c->NoteDep(h->DepFor(mode));
     h->latch.Release();
     c->cache().Insert(id, req);
     c->PushHeld(req);
@@ -324,7 +326,7 @@ Status LockManager::AcquireNew(LockClient* c, const LockId& id,
     // Ordered by the granter's status release-store + our acquire load in
     // WaitForGrant; stamps stored after our grant are not dependencies
     // (the conflicting holder could not have released before us).
-    c->NoteDep(req->head->last_commit_lsn.load(std::memory_order_acquire));
+    c->NoteDep(h->DepFor(mode));
     c->cache().Insert(id, req);
     c->PushHeld(req);
   }
@@ -345,7 +347,7 @@ Status LockManager::Upgrade(LockClient* c, LockRequest* r, LockMode mode) {
     r->mode = target;
     h->SummaryUpgrade(was, target);
     SLIDB_DCHECK_SUMMARY(h);
-    c->NoteDep(h->last_commit_lsn.load(std::memory_order_relaxed));
+    c->NoteDep(h->DepFor(target));
     h->latch.Release();
     return Status::OK();
   }
@@ -375,7 +377,7 @@ Status LockManager::Upgrade(LockClient* c, LockRequest* r, LockMode mode) {
   const Status st = WaitForGrant(c, r, spin_cycles, &granted_anyway);
   c->waiting_on().store(nullptr, std::memory_order_release);
   if (st.ok() || granted_anyway) {
-    c->NoteDep(h->last_commit_lsn.load(std::memory_order_acquire));
+    c->NoteDep(h->DepFor(target));
   }
   return st;
 }
@@ -533,7 +535,7 @@ void LockManager::ReleaseOne(LockRequest* r, RequestPool* pool,
   if (commit_lsn != 0 && IsWriteClassMode(r->mode)) {
     // The next acquirer of this head must not externalize our data before
     // this commit record is durable (early lock release).
-    h->StampCommitLsn(commit_lsn);
+    h->StampCommitLsn(r->mode, commit_lsn);
   }
   h->Unlink(r);
   h->SummaryRemove(r->mode);
@@ -722,7 +724,7 @@ void LockManager::ReleaseAll(LockClient* c, AgentSliState* sli,
         // invalidates this request (e.g. table-S vs inherited IX) still
         // depends on our commit's durability. Stamp before the CAS makes
         // the request inheritable, so observers of either outcome see it.
-        r->head->StampCommitLsn(commit_lsn);
+        r->head->StampCommitLsn(r->mode, commit_lsn);
       }
       r->client.store(nullptr, std::memory_order_release);
       // Raise the hint before the CAS so it can never undercount a request
@@ -742,13 +744,19 @@ void LockManager::ReleaseAll(LockClient* c, AgentSliState* sli,
     r = next;
   }
   c->cache().Clear();
+  if (sli != nullptr) {
+    // An abort keeps the requests it never used; its horizon covers theirs,
+    // because AdoptInherited noted it.
+    sli->set_inherited_dep(std::max(commit_lsn, c->dep_lsn()));
+  }
 
   for (const LockId& id : reclaims) table_.TryReclaim(id);
 }
 
 void LockManager::AdoptInherited(LockClient* c, AgentSliState* sli) {
-  if (sli == nullptr) return;
+  if (sli == nullptr || sli->inherited_head() == nullptr) return;
   ScopedComponent sli_comp(Component::kSli);
+  c->NoteDep(sli->inherited_dep());
   for (LockRequest* r = sli->inherited_head(); r != nullptr;
        r = r->agent_next) {
     if (r->status.load(std::memory_order_acquire) ==

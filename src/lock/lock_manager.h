@@ -131,7 +131,9 @@ class LockManager {
   /// `commit_lsn` (commit path only; 0 otherwise) stamps every released or
   /// inherited write-mode lock's head as the durability horizon later
   /// acquirers depend on under early lock release — see
-  /// LockHead::last_commit_lsn and LockClient::NoteDep.
+  /// LockHead::DepFor and LockClient::NoteDep. `sli` also records the
+  /// finished transaction's own horizon, max(commit_lsn, c's dep_lsn),
+  /// which AdoptInherited hands to the agent's next transaction.
   void ReleaseAll(LockClient* c, AgentSliState* sli, bool allow_inherit,
                   uint64_t commit_lsn = 0);
 
@@ -142,7 +144,10 @@ class LockManager {
 
   /// Populate a starting transaction's lock cache with the agent's
   /// inherited requests (paper §4.1: "pre-populates the new transaction's
-  /// lock cache").
+  /// lock cache"). When any are inherited, `c` also notes the horizon of
+  /// the transaction that inherited them: a reclaim is a grant at that
+  /// transaction's grant time, so it depends on what that grant noted, and
+  /// the latch-free reclaim path then reads no head state.
   void AdoptInherited(LockClient* c, AgentSliState* sli);
 
   /// Run one deadlock detection pass: snapshot the waits-for graph and

@@ -1,6 +1,7 @@
 #include "src/lock/lock_table.h"
 
 #include <bit>
+#include <cassert>
 
 namespace slidb {
 
@@ -31,6 +32,7 @@ void ResetHead(LockHead* h, const LockId& id, uint64_t retired_dep) {
   // Not scrubbed to zero: a fresh identity must inherit the bucket's
   // retired dependency horizon (see Bucket::retired_dep).
   h->last_commit_lsn.store(retired_dep, std::memory_order_relaxed);
+  h->last_ix_commit_lsn.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace
@@ -107,6 +109,9 @@ void LockTable::TryReclaim(const LockId& id) {
     // and unpinned, so no stamping can race.
     const uint64_t stamp = h->last_commit_lsn.load(std::memory_order_relaxed);
     if (stamp > bucket.retired_dep) bucket.retired_dep = stamp;
+    // The IX stamp is not folded: only row heads are reclaimed
+    // (LockManager::ReleaseOne), and rows never hold IX.
+    assert(h->last_ix_commit_lsn.load(std::memory_order_relaxed) == 0);
     if (bucket.free_count < kMaxFreePerBucket) {
       h->bucket_next = bucket.free_list;
       bucket.free_list = h;

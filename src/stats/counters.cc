@@ -67,7 +67,6 @@ const char* CounterName(Counter c) {
     case Counter::kTxnCommits: return "txn.commits";
     case Counter::kTxnUserAborts: return "txn.user_aborts";
     case Counter::kTxnDeadlockAborts: return "txn.deadlock_aborts";
-    case Counter::kTxnEarlyRelease: return "txn.early_release";
     case Counter::kTxnSpecReads: return "txn.spec_reads";
     case Counter::kTxnDeferredAcks: return "txn.deferred_acks";
     case Counter::kTxnDepSettleNs: return "txn.dep_settle_ns";

@@ -90,7 +90,6 @@ enum class Counter : uint32_t {
   kTxnCommits,
   kTxnUserAborts,      ///< benchmark-specified failures (invalid input)
   kTxnDeadlockAborts,
-  kTxnEarlyRelease,    ///< commits that released locks before durability
 
   // -- speculative reads / commit dependencies --
   kTxnSpecReads,       ///< lock acquisitions that raised the txn's

@@ -22,15 +22,9 @@ Transaction* TransactionManager::Begin(AgentContext* agent) {
   }
   txn.Reset(next_txn_id_.fetch_add(1, std::memory_order_relaxed),
             agent->id());
-  // Snapshot the response deadline into the LockClient, where every
-  // blocking point (lock waits, the durable-commit wait) can read it. The
-  // agent's per-arrival deadline wins; the TxnOptions default covers API
-  // callers that never touch AgentContext deadlines.
-  uint64_t deadline_ns = agent->txn_deadline_ns();
-  if (deadline_ns == 0 && options_.txn_deadline_us != 0) {
-    deadline_ns = NowNanos() + options_.txn_deadline_us * 1'000;
-  }
-  txn.lock_client().SetDeadline(deadline_ns);
+  // Snapshot the agent's response deadline into the LockClient, where
+  // every blocking point (lock waits, the durable-commit wait) can read it.
+  txn.lock_client().SetDeadline(agent->txn_deadline_ns());
   lock_manager_->AdoptInherited(&txn.lock_client(), &agent->sli());
   return &txn;
 }
@@ -157,15 +151,11 @@ void TransactionManager::CommitReleaseLocks(AgentContext* agent,
                             /*allow_inherit=*/true, commit_lsn);
 }
 
-void TransactionManager::CommitWaitDurable(Lsn lsn) {
-  log_manager_->WaitDurable(lsn);
-}
-
 void TransactionManager::CommitExternalize(AgentContext* agent, Lsn horizon) {
   if (horizon == 0) return;
   const uint64_t deadline_ns = agent->txn().lock_client().deadline_ns();
   if (!options_.speculative_reads && deadline_ns == 0) {
-    CommitWaitDurable(horizon);
+    log_manager_->WaitDurable(horizon);
     return;
   }
   // Speculative or deadline-bounded: either way the acknowledgement may
@@ -214,10 +204,10 @@ Status TransactionManager::Commit(AgentContext* agent) {
 
   if (!txn.begin_logged_) {
     // Read-only: the transaction logged nothing, so it appends no record.
-    // But under early lock release the data it READ may not be durable
-    // yet — the writer dropped its lock at commit-record *insertion*.
-    // Every lock acquisition noted the head's last write-commit LSN
-    // (LockClient::NoteDep), so externalizing at durable >= dep_lsn
+    // But the data it READ may not be durable yet — a writer drops its
+    // locks at commit-record *insertion* (below). Every lock acquisition
+    // noted the horizon its mode depends on (LockHead::DepFor via
+    // LockClient::NoteDep), so externalizing at durable >= dep_lsn
     // guarantees no caller ever observes state a crash could un-commit —
     // and costs nothing when the observed writers are already durable,
     // which is the common case on read-mostly workloads. Synchronous mode
@@ -225,12 +215,12 @@ Status TransactionManager::Commit(AgentContext* agent) {
     const Lsn horizon = txn.lock_client().dep_lsn();
     CommitReleaseLocks(agent, 0);
     CommitExternalize(agent, horizon);
-  } else if (options_.early_lock_release) {
-    // Locks are logically released the instant the commit record enters the
-    // log: its LSN fixes the serialization point, and group commit hardens
-    // in LSN order, so dependents cannot out-run us to durability. Dropping
-    // (or inheriting) locks while the flush is in flight removes the commit
-    // I/O from the lock hold time.
+  } else {
+    // Early lock release: locks are logically released the instant the
+    // commit record enters the log. Its LSN fixes the serialization point,
+    // and group commit hardens in LSN order, so dependents cannot out-run
+    // us to durability. Dropping (or inheriting) locks while the flush is
+    // in flight removes the commit I/O from the lock hold time.
     //
     // The externalization horizon is our own commit LSN: dependencies were
     // noted at acquire time, strictly before our commit record reserved
@@ -238,12 +228,7 @@ Status TransactionManager::Commit(AgentContext* agent) {
     // statement of the invariant, not a needed computation.
     const Lsn lsn = CommitLogInsert(txn);
     CommitReleaseLocks(agent, lsn);
-    CountEvent(Counter::kTxnEarlyRelease);
     CommitExternalize(agent, std::max(lsn, txn.lock_client().dep_lsn()));
-  } else {
-    const Lsn lsn = CommitLogInsert(txn);
-    CommitWaitDurable(lsn);
-    CommitReleaseLocks(agent, lsn);
   }
   txn.state_ = TxnState::kCommitted;
   txn.PubFinish();

@@ -4,11 +4,13 @@
 //
 // Commit runs as a three-phase pipeline (see DESIGN.md "Commit pipeline"):
 //   1. log-insert   — reserve + fill the commit record (latch-free append)
-//   2. lock-release — ReleaseAll with SLI inheritance; with early lock
-//                     release (default) this happens while the flush is
-//                     still in flight, shrinking the lock hold time the
-//                     next transaction inherits across
-//   3. wait-durable — consolidated group commit on the commit record's LSN
+//   2. lock-release — ReleaseAll with SLI inheritance, while the flush is
+//                     still in flight (early lock release), so the commit
+//                     I/O is not part of the lock hold time the next
+//                     transaction inherits across
+//   3. wait-durable — consolidated group commit on the commit record's LSN,
+//                     or on the horizon of the early-released writers the
+//                     transaction read (LockHead::DepFor)
 #pragma once
 
 #include <atomic>
@@ -31,14 +33,6 @@ namespace slidb {
 class Catalog;  // engine/catalog.h
 
 struct TxnOptions {
-  /// Release locks (with SLI inheritance) after the commit record is
-  /// *inserted* but before it is *durable*. Safe under group commit: log
-  /// passes harden the log strictly in LSN order, so any transaction that
-  /// observes our released writes appends its own commit record after ours
-  /// and cannot become durable before us. When false, locks are held until
-  /// the commit record is on "disk" (the legacy ordering).
-  bool early_lock_release = true;
-
   /// A transaction's redo records accumulate in its private staging buffer
   /// and publish as ONE batch reservation at commit (the commit record
   /// rides the same batch, after the redo records, so ELR ordering is
@@ -50,11 +44,14 @@ struct TxnOptions {
   /// 8 MiB ring; 1 publishes every record at operation time.
   size_t staging_flush_bytes = 64u << 10;
 
-  /// Speculative reads with asynchronous commit dependencies. A commit
-  /// whose durability horizon — the commit LSNs of every early-released
-  /// writer it observed (LockClient::NoteDep), plus its own commit record —
-  /// is not yet durable does NOT block in WaitDurable: it parks a
-  /// DeferredAck on the log's ack queue and Commit() returns immediately.
+  /// Speculative reads with asynchronous commit dependencies. Locks are
+  /// released when the commit record is inserted, before it is durable
+  /// (early lock release), so a transaction may read an early-released
+  /// writer's data; every grant notes the writer horizon its mode depends
+  /// on (LockHead::DepFor, LockClient::NoteDep). A commit whose horizon —
+  /// those writers' commit LSNs plus its own commit record — is not yet
+  /// durable does NOT block in WaitDurable: it parks a DeferredAck on the
+  /// log's ack queue and Commit() returns immediately.
   /// Externalization (the client acknowledgement) moves to the ack's
   /// settlement, performed by the pass that hardens the horizon, so the
   /// ELR soundness invariant (nothing externalizes before every record it
@@ -62,20 +59,8 @@ struct TxnOptions {
   /// Off by default: direct API callers keep the synchronous contract that
   /// Commit()'s return IS the durable acknowledgement; deferred-ack
   /// consumers must drain their agent's ring (AgentContext::DrainDeferredAcks)
-  /// before treating the session as quiesced. Ignored (synchronous) when
-  /// early_lock_release is off for read-write transactions — legacy
-  /// ordering holds locks across the durable wait by definition.
+  /// before treating the session as quiesced.
   bool speculative_reads = false;
-
-  /// Default per-transaction response deadline in microseconds, applied at
-  /// Begin when the agent carries none (AgentContext::set_txn_deadline_ns
-  /// overrides per arrival). The deadline caps every lock wait at
-  /// min(lock_timeout, remaining budget), converts the durable-commit wait
-  /// into a deadline-bounded wait that parks a DeferredAck on expiry (so
-  /// such consumers must drain their agent's ring, as with
-  /// speculative_reads), and makes Commit refuse — abort retryably — once
-  /// the budget has already passed. 0 (default) = no deadline.
-  uint64_t txn_deadline_us = 0;
 };
 
 class TransactionManager {
@@ -161,11 +146,10 @@ class TransactionManager {
   // the durability horizon later acquirers depend on (ELR soundness).
   Lsn CommitLogInsert(Transaction& txn);
   void CommitReleaseLocks(AgentContext* agent, Lsn commit_lsn);
-  void CommitWaitDurable(Lsn lsn);
   /// End game of the commit pipeline: make the commit externalizable at
-  /// `horizon`. Synchronous mode blocks (WaitDurable) — with a deadline, on
-  /// a ring-owned ack it may abandon; speculative mode parks the ack and
-  /// returns.
+  /// `horizon`. Synchronous mode blocks (WaitDurable) — with a deadline
+  /// (AgentContext::set_txn_deadline_ns), on a ring-owned ack it may
+  /// abandon; speculative mode parks the ack and returns.
   void CommitExternalize(AgentContext* agent, Lsn horizon);
 
   /// Record that `txn`'s next publish is its first: capture a conservative

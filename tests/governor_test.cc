@@ -285,10 +285,8 @@ TEST(GovernorTest, CommitDeadlineDuringHeldPassParksTheAck) {
   gate.Install(&logo);
   LockManager lock_manager;
   LogManager log(logo);
-  TxnOptions txo;
-  txo.early_lock_release = true;
   Catalog catalog;
-  TransactionManager tm(&lock_manager, &log, &catalog, txo);
+  TransactionManager tm(&lock_manager, &log, &catalog);
   std::thread holder([&] {
     const Lsn lsn = log.Append(999, LogRecordType::kCommit, nullptr, 0);
     log.WaitDurable(lsn);

@@ -15,15 +15,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <map>
 #include <set>
+#include <span>
 #include <thread>
 #include <unordered_set>
 #include <vector>
 
-#include "src/engine/checkpointer.h"
 #include "src/engine/database.h"
 #include "src/log/log_device.h"
 #include "src/log/log_manager.h"
@@ -1195,9 +1196,15 @@ struct DurabilityAudit {
   std::vector<uint8_t> bytes;
   size_t parsed = 0;
   std::unordered_set<uint64_t> committed;
+  /// Device write latency: each pass's bytes reach the stream this long
+  /// after the sink is called.
+  uint64_t device_delay_us = 0;
 
   void Install(LogOptions* o) {
     o->flush_sink = [this](const uint8_t* d, size_t n, Lsn) {
+      if (device_delay_us != 0) {
+        std::this_thread::sleep_for(std::chrono::microseconds(device_delay_us));
+      }
       std::lock_guard<std::mutex> g(mu);
       bytes.insert(bytes.end(), d, d + n);
       LogRecordHeader hdr;
@@ -1218,13 +1225,12 @@ struct DurabilityAudit {
 };
 
 TEST(RecoveryConcurrencyTest, EarlyReleaseNeverReportsCommitBeforeDurable) {
-  // Regression gate for the PR 2 default: with early_lock_release=true a
-  // transaction's locks drop before its commit I/O completes, but Commit()
-  // must still not RETURN until the commit record is durable in the sink.
-  // The audit sink is the durable stream itself, so this check is exact.
+  // Regression gate for early lock release: a transaction's locks drop
+  // before its commit I/O completes, but Commit() must still not RETURN
+  // until the commit record is durable in the sink. The audit sink is the
+  // durable stream itself, so this check is exact.
   DurabilityAudit audit;
   DatabaseOptions o = TestOptions();
-  ASSERT_TRUE(o.txn.early_lock_release);
   audit.Install(&o.log);
   Database db(o);
   const TableId t = db.CreateTable("t");
@@ -1289,7 +1295,6 @@ TEST(RecoveryConcurrencyTest, SpeculativeAckNeverSettlesBeforeCommitDurable) {
   DurabilityAudit audit;
   DatabaseOptions o = TestOptions();
   o.txn.speculative_reads = true;
-  ASSERT_TRUE(o.txn.early_lock_release);
   audit.Install(&o.log);
   Database db(o);
   const TableId t = db.CreateTable("t");
@@ -1379,6 +1384,106 @@ TEST(RecoveryConcurrencyTest, SpeculativeAckNeverSettlesBeforeCommitDurable) {
     EXPECT_FALSE(audit.HasDurableCommit(id))
         << "aborted txn " << id << " has a durable commit record";
   }
+}
+
+TEST(RecoveryConcurrencyTest, ReadOnlyCommitNeverReturnsBeforeTheWritersItRead) {
+  // Early lock release hands a row or table lock to a reader while the
+  // writer that released it still waits for its flush. Every row holds the
+  // id of the transaction that last wrote it, so a reader knows whose
+  // commits it observed, and its read-only Commit() must not return before
+  // each of them is durable — whether it locked IS plus row S (the row
+  // head carries the writer's stamp) or table S (only the table head's IX
+  // stamp does). The slow device leaves a wide window in which a missing
+  // dependency shows.
+  DurabilityAudit audit;
+  audit.device_delay_us = 200;
+  DatabaseOptions o = TestOptions();
+  audit.Install(&o.log);
+  Database db(o);
+  const TableId t = db.CreateTable("t");
+  const auto bytes = [](const uint64_t& v) {
+    return std::span<const uint8_t>(reinterpret_cast<const uint8_t*>(&v),
+                                    sizeof(v));
+  };
+
+  std::vector<Rid> rids(8);
+  {
+    auto setup = db.CreateAgent();
+    db.Begin(setup.get());
+    const uint64_t id = setup->txn().id();
+    for (auto& rid : rids) {
+      ASSERT_TRUE(db.Insert(setup.get(), t, bytes(id), &rid).ok());
+    }
+    ASSERT_TRUE(db.Commit(setup.get()).ok());
+  }
+
+  constexpr int kWriters = 2;
+  constexpr int kReaders = 2;
+  constexpr int kTxns = 150;
+  std::atomic<uint64_t> violations{0};
+  std::atomic<uint64_t> table_s_commits{0};
+  std::atomic<uint64_t> row_s_commits{0};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&, w] {
+      auto agent = db.CreateAgent(900 + w);
+      Rng rng(13 * (w + 5));
+      for (int i = 0; i < kTxns; ++i) {
+        db.Begin(agent.get());
+        const uint64_t id = agent->txn().id();
+        const Rid rid = rids[rng.Next() % rids.size()];
+        if (!db.Update(agent.get(), t, rid, bytes(id)).ok()) {
+          db.Abort(agent.get());
+          continue;
+        }
+        ASSERT_TRUE(db.Commit(agent.get()).ok());
+      }
+    });
+  }
+  for (int r = 0; r < kReaders; ++r) {
+    threads.emplace_back([&, r] {
+      auto agent = db.CreateAgent(950 + r);
+      Rng rng(29 * (r + 11));
+      std::vector<uint64_t> seen;
+      for (int i = 0; i < kTxns; ++i) {
+        db.Begin(agent.get());
+        seen.clear();
+        const bool table_s = i % 2 == 1;
+        // A table S covers the rows read below, which then take no lock.
+        bool ok = !table_s ||
+                  db.lock_manager()
+                      .Lock(&agent->txn().lock_client(),
+                            LockId::Table(Database::kLockDbId, t),
+                            LockMode::kS)
+                      .ok();
+        for (int k = 0; ok && k < 2; ++k) {
+          uint64_t v = 0;
+          ok = db.Read(agent.get(), t, rids[rng.Next() % rids.size()], &v,
+                       sizeof(v))
+                   .ok();
+          seen.push_back(v);
+        }
+        if (!ok) {
+          db.Abort(agent.get());
+          continue;
+        }
+        ASSERT_TRUE(db.Commit(agent.get()).ok());
+        // THE gate: every writer this transaction read is durable.
+        for (const uint64_t id : seen) {
+          if (!audit.HasDurableCommit(id)) {
+            violations.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+        (table_s ? table_s_commits : row_s_commits)
+            .fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(violations.load(), 0u)
+      << "a read-only Commit() returned before a writer it read was durable";
+  EXPECT_GT(table_s_commits.load(), 0u);
+  EXPECT_GT(row_s_commits.load(), 0u);
 }
 
 // ---- checkpointed streams: bounded restart (PR "bounded restart") -----------
@@ -2129,29 +2234,6 @@ TEST(CheckpointConcurrencyTest, FuzzyPassesUnderConcurrentWriters) {
   const TableId rt = target.AddTable();
   ASSERT_TRUE(rm.Replay(&target.catalog).ok());
   EXPECT_EQ(DumpHeap(target.catalog, rt), engine_rows);
-}
-
-TEST(CheckpointConcurrencyTest, BackgroundCheckpointerTicks) {
-  CrashSink sink;
-  DatabaseOptions o = TestOptions();
-  o.checkpoint_interval_ms = 5;
-  sink.Install(&o.log);
-  Database db(o);
-  const TableId t = db.CreateTable("t");
-  auto agent = db.CreateAgent();
-  db.Begin(agent.get());
-  Rid rid;
-  ASSERT_TRUE(db.Insert(agent.get(), t, Bytes("ticktock"), &rid).ok());
-  ASSERT_TRUE(db.Commit(agent.get()).ok());
-
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (db.checkpointer().completed() < 2 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  EXPECT_GE(db.checkpointer().completed(), 2u)
-      << "background checkpointer never completed two passes";
 }
 
 }  // namespace

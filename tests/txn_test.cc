@@ -1,6 +1,6 @@
 // Transaction manager tests: lifecycle, durability interaction, the
-// commit pipeline's early-lock-release phase split, and SLI hand-off across
-// the Begin/Commit boundary. Undo through the logged records is covered
+// commit pipeline's early-lock-release phase split, the durability horizon
+// each lock mode notes, and SLI hand-off across the Begin/Commit boundary. Undo through the logged records is covered
 // end to end in engine_test.
 #include <gtest/gtest.h>
 
@@ -8,6 +8,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
+#include <initializer_list>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -197,10 +198,8 @@ TEST(TxnTest, EarlyLockReleaseDropsLocksBeforeDurability) {
   logo.flush_interval_us = 50;
   gate.Install(&logo);
   LogManager log_manager(logo);
-  TxnOptions txo;
-  txo.early_lock_release = true;
   Catalog catalog;
-  TransactionManager tm(&lock_manager, &log_manager, &catalog, txo);
+  TransactionManager tm(&lock_manager, &log_manager, &catalog);
 
   AgentContext agent(0);
   tm.Begin(&agent);
@@ -214,9 +213,7 @@ TEST(TxnTest, EarlyLockReleaseDropsLocksBeforeDurability) {
   tm.LogHeapOp(&agent, LogRecordType::kUpdate, 1, Rid{0, 0}, {}, img);
 
   std::atomic<bool> commit_done{false};
-  CounterSet commit_counters;
   std::thread committer([&] {
-    ScopedCounterSet routed(&commit_counters);
     EXPECT_TRUE(tm.Commit(&agent).ok());
     commit_done.store(true, std::memory_order_release);
   });
@@ -235,50 +232,6 @@ TEST(TxnTest, EarlyLockReleaseDropsLocksBeforeDurability) {
   gate.Open();
   committer.join();
   EXPECT_TRUE(commit_done.load());
-  EXPECT_GT(commit_counters.Get(Counter::kTxnEarlyRelease), 0u);
-}
-
-TEST(TxnTest, LegacyOrderingHoldsLocksUntilDurable) {
-  FlushGate gate;
-  LockManagerOptions lo;
-  lo.lock_timeout_us = 100'000;  // short: we expect a timeout below
-  LockManager lock_manager(lo);
-  LogOptions logo;
-  logo.flush_interval_us = 50;
-  gate.Install(&logo);
-  LogManager log_manager(logo);
-  TxnOptions txo;
-  txo.early_lock_release = false;
-  Catalog catalog;
-  TransactionManager tm(&lock_manager, &log_manager, &catalog, txo);
-
-  AgentContext agent(0);
-  tm.Begin(&agent);
-  ASSERT_TRUE(lock_manager
-                  .Lock(&agent.txn().lock_client(), LockId::Table(0, 1),
-                        LockMode::kX)
-                  .ok());
-  const uint8_t img[4] = {1, 2, 3, 4};
-  tm.LogHeapOp(&agent, LogRecordType::kUpdate, 1, Rid{0, 0}, {}, img);
-
-  std::thread committer([&] { EXPECT_TRUE(tm.Commit(&agent).ok()); });
-
-  // With the legacy ordering the lock is held across the (gated) durable
-  // wait, so a conflicting request must time out.
-  LockClient other;
-  other.StartTxn(1000, 9);
-  EXPECT_TRUE(lock_manager.Lock(&other, LockId::Table(0, 1), LockMode::kX)
-                  .IsTimedOut());
-  // The timed-out transaction still holds its parent intention lock.
-  lock_manager.ReleaseAll(&other, nullptr, false);
-
-  gate.Open();
-  committer.join();
-  // After commit returns, the lock is free.
-  other.StartTxn(1001, 9);
-  ASSERT_TRUE(lock_manager.Lock(&other, LockId::Table(0, 1), LockMode::kX)
-                  .ok());
-  lock_manager.ReleaseAll(&other, nullptr, false);
 }
 
 TEST(TxnTest, ReadOnlyCommitWaitsForObservedWritersDurability) {
@@ -294,10 +247,8 @@ TEST(TxnTest, ReadOnlyCommitWaitsForObservedWritersDurability) {
   logo.flush_interval_us = 50;
   gate.Install(&logo);
   LogManager log_manager(logo);
-  TxnOptions txo;
-  txo.early_lock_release = true;
   Catalog catalog;
-  TransactionManager tm(&lock_manager, &log_manager, &catalog, txo);
+  TransactionManager tm(&lock_manager, &log_manager, &catalog);
 
   AgentContext writer(0);
   tm.Begin(&writer);
@@ -416,7 +367,6 @@ TEST(TxnTest, SpeculativeCommitsReturnEarlyAndSettleOnlyWhenDurable) {
   gate.Install(&logo);
   LogManager log_manager(logo);
   TxnOptions txo;
-  txo.early_lock_release = true;
   txo.speculative_reads = true;
   Catalog catalog;
   TransactionManager tm(&lock_manager, &log_manager, &catalog, txo);
@@ -510,7 +460,6 @@ TEST(TxnTest, WriterAbortAfterSpeculativeReadLeavesNoDependency) {
   Rid rid;
   ASSERT_TRUE(heap->Insert(before, &rid).ok());
   TxnOptions txo;
-  txo.early_lock_release = true;
   txo.speculative_reads = true;
   TransactionManager tm(&lock_manager, &log_manager, &catalog, txo);
 
@@ -548,6 +497,213 @@ TEST(TxnTest, WriterAbortAfterSpeculativeReadLeavesNoDependency) {
   EXPECT_EQ(rc.Get(Counter::kTxnDeferredAcks), 0u);
   EXPECT_EQ(reader.deferred_acks().outstanding(), 0u);
   gate.Open();  // release any held pass for clean shutdown
+}
+
+// ---- durability horizons by lock mode ----------------------------------------
+// Under early lock release a grant notes the horizon its mode depends on
+// (LockHead::DepFor): an IX holder's commit delays only modes that read the
+// children without child locks (S, SIX, U, X), while X, SIX and U holders'
+// commits delay every later grant. Each test commits a writer behind a
+// closed FlushGate, so the writer's commit record is provably not durable
+// while the reader's dep_lsn is asserted.
+
+/// A gated log behind a speculative transaction manager: Commit returns at
+/// once, parking its acknowledgement, so one thread can commit a writer and
+/// then take a reader's locks with the writer's flush still held back.
+struct HorizonHarness {
+  explicit HorizonHarness(LockManagerOptions lo = {}) : lock_manager(lo) {
+    LogOptions logo;
+    logo.flush_interval_us = 50;
+    gate.Install(&logo);
+    log_manager = std::make_unique<LogManager>(logo);
+    TxnOptions txo;
+    txo.speculative_reads = true;
+    txn_manager = std::make_unique<TransactionManager>(
+        &lock_manager, log_manager.get(), &catalog, txo);
+  }
+
+  Status Lock(AgentContext* agent, const LockId& id, LockMode mode) {
+    return lock_manager.Lock(&agent->txn().lock_client(), id, mode);
+  }
+  static uint64_t Dep(AgentContext* agent) {
+    return agent->txn().lock_client().dep_lsn();
+  }
+
+  /// Commit one transaction of `agent` that takes `id` in `mode` and logs
+  /// an update. Returns its commit LSN, which no pass can harden yet.
+  Lsn CommitWriter(AgentContext* agent, const LockId& id, LockMode mode) {
+    txn_manager->Begin(agent);
+    EXPECT_TRUE(Lock(agent, id, mode).ok());
+    const uint8_t img[4] = {1, 2, 3, 4};
+    txn_manager->LogHeapOp(agent, LogRecordType::kUpdate, id.table, Rid{0, 0},
+                           {}, img);
+    EXPECT_TRUE(txn_manager->Commit(agent).ok());
+    const Lsn lsn = log_manager->reserved_lsn();
+    EXPECT_LT(log_manager->durable_lsn(), lsn);
+    return lsn;
+  }
+
+  /// Open the gate and settle every parked acknowledgement, so the agents
+  /// can retire.
+  void Settle(std::initializer_list<AgentContext*> agents) {
+    gate.Open();
+    for (AgentContext* agent : agents) agent->DrainDeferredAcks();
+  }
+
+  FlushGate gate;
+  LockManager lock_manager;
+  Catalog catalog;  // no tables: these tests abort no writes
+  std::unique_ptr<LogManager> log_manager;
+  std::unique_ptr<TransactionManager> txn_manager;
+};
+
+/// A row of `row`'s page whose lock lands in another bucket than `row`'s
+/// at every table size (the hashes differ in bit 0). A row head retired
+/// from a bucket leaves its horizon to the next head created there
+/// (LockTable's retired_dep), so a "different row" must not share one.
+LockId RowInAnotherBucket(const LockId& row) {
+  for (uint32_t slot = row.row + 1;; ++slot) {
+    const LockId other = LockId::Row(row.db, row.table, row.page, slot);
+    if (((other.Hash() ^ row.Hash()) & 1) != 0) return other;
+  }
+}
+
+TEST(HorizonTest, IxWriterDelaysNoIntentLockOrOtherRowReader) {
+  HorizonHarness h;
+  const LockId row = LockId::Row(0, 1, 0, 0);
+  AgentContext writer(0);
+  h.CommitWriter(&writer, row, LockMode::kX);  // IX on db, table and page
+
+  AgentContext reader(1);
+  CounterSet rc;
+  {
+    ScopedCounterSet routed(&rc);
+    // IS on the db, table and page the writer held in IX, then S on
+    // another row.
+    h.txn_manager->Begin(&reader);
+    ASSERT_TRUE(
+        h.Lock(&reader, RowInAnotherBucket(row), LockMode::kS).ok());
+    EXPECT_EQ(HorizonHarness::Dep(&reader), 0u);
+    ASSERT_TRUE(h.txn_manager->Commit(&reader).ok());
+    // IX on the same page (and so on its table and db).
+    h.txn_manager->Begin(&reader);
+    ASSERT_TRUE(h.Lock(&reader, LockId::Page(0, 1, 0), LockMode::kIX).ok());
+    EXPECT_EQ(HorizonHarness::Dep(&reader), 0u);
+    ASSERT_TRUE(h.txn_manager->Commit(&reader).ok());
+  }
+  // Neither commit read the writer's data, so neither waits on its flush.
+  EXPECT_EQ(rc.Get(Counter::kTxnSpecReads), 0u);
+  EXPECT_EQ(reader.deferred_acks().outstanding(), 0u);
+  h.Settle({&writer, &reader});
+}
+
+TEST(HorizonTest, IxWriterDelaysRowTableAndUpgradedReaders) {
+  HorizonHarness h;
+  const LockId row = LockId::Row(0, 1, 0, 0);
+  AgentContext writer(0);
+  const Lsn w_lsn = h.CommitWriter(&writer, row, LockMode::kX);
+
+  AgentContext reader(1);
+  // S on the writer's row: its release stamped the row head.
+  h.txn_manager->Begin(&reader);
+  ASSERT_TRUE(h.Lock(&reader, row, LockMode::kS).ok());
+  EXPECT_EQ(HorizonHarness::Dep(&reader), w_lsn);
+  ASSERT_TRUE(h.txn_manager->Commit(&reader).ok());
+  // Table S covers the rows without row locks: the IX stamp applies.
+  h.txn_manager->Begin(&reader);
+  ASSERT_TRUE(h.Lock(&reader, LockId::Table(0, 1), LockMode::kS).ok());
+  EXPECT_EQ(HorizonHarness::Dep(&reader), w_lsn);
+  ASSERT_TRUE(h.txn_manager->Commit(&reader).ok());
+  // So does an upgrade from IS, which noted nothing, to S.
+  h.txn_manager->Begin(&reader);
+  ASSERT_TRUE(h.Lock(&reader, LockId::Table(0, 1), LockMode::kIS).ok());
+  EXPECT_EQ(HorizonHarness::Dep(&reader), 0u);
+  ASSERT_TRUE(h.Lock(&reader, LockId::Table(0, 1), LockMode::kS).ok());
+  EXPECT_EQ(HorizonHarness::Dep(&reader), w_lsn);
+  ASSERT_TRUE(h.txn_manager->Commit(&reader).ok());
+  // Each of the three commits parked its acknowledgement on the writer.
+  EXPECT_EQ(reader.deferred_acks().outstanding(), 3u);
+  h.Settle({&writer, &reader});
+}
+
+TEST(HorizonTest, TableXWriterDelaysIntentLockReaders) {
+  // A table-X holder writes rows without row locks, so only the table
+  // head carries its horizon, and even an IS grant must note it.
+  HorizonHarness h;
+  AgentContext writer(0);
+  const Lsn w_lsn =
+      h.CommitWriter(&writer, LockId::Table(0, 2), LockMode::kX);
+
+  AgentContext reader(1);
+  h.txn_manager->Begin(&reader);
+  ASSERT_TRUE(h.Lock(&reader, LockId::Table(0, 2), LockMode::kIS).ok());
+  EXPECT_EQ(HorizonHarness::Dep(&reader), w_lsn);
+  ASSERT_TRUE(h.txn_manager->Commit(&reader).ok());
+  EXPECT_EQ(reader.deferred_acks().outstanding(), 1u);
+  h.Settle({&writer, &reader});
+}
+
+TEST(HorizonTest, TableSInvalidatingAnInheritedIxNotesTheInheritor) {
+  // The writer's agent inherits its page, table and db IX (every head is
+  // hot at threshold 0): inheritance is a logical release, so a table-S
+  // request that invalidates the inherited IX depends on the writer.
+  LockManagerOptions lo;
+  lo.sli_mode = SliMode::kOn;
+  lo.hot_min_contended = 0;
+  HorizonHarness h(lo);
+  AgentContext writer(0);
+  const Lsn w_lsn =
+      h.CommitWriter(&writer, LockId::Row(0, 1, 0, 0), LockMode::kX);
+  ASSERT_GT(writer.sli().inherited_count(), 0u);
+
+  AgentContext reader(1);
+  CounterSet rc;
+  {
+    ScopedCounterSet routed(&rc);
+    h.txn_manager->Begin(&reader);
+    ASSERT_TRUE(h.Lock(&reader, LockId::Table(0, 1), LockMode::kS).ok());
+    EXPECT_EQ(HorizonHarness::Dep(&reader), w_lsn);
+    ASSERT_TRUE(h.txn_manager->Commit(&reader).ok());
+  }
+  EXPECT_GE(rc.Get(Counter::kSliInvalidated), 1u);
+  EXPECT_EQ(reader.deferred_acks().outstanding(), 1u);
+  h.Settle({&writer, &reader});
+}
+
+TEST(HorizonTest, SliReclaimCarriesTheInheritorsHorizon) {
+  // Transaction N's table S noted the writer's horizon and was inherited;
+  // N+1 reclaims it on the latch-free path, which reads no head state. N+1
+  // reads what N read, so it must depend on the same writer, and its
+  // acknowledgement must park too.
+  LockManagerOptions lo;
+  lo.sli_mode = SliMode::kOn;
+  lo.hot_min_contended = 0;
+  HorizonHarness h(lo);
+  AgentContext writer(0);
+  const Lsn w_lsn =
+      h.CommitWriter(&writer, LockId::Table(0, 1), LockMode::kX);
+
+  AgentContext reader(1);
+  h.txn_manager->Begin(&reader);
+  ASSERT_TRUE(h.Lock(&reader, LockId::Table(0, 1), LockMode::kS).ok());
+  ASSERT_EQ(HorizonHarness::Dep(&reader), w_lsn);
+  ASSERT_TRUE(h.txn_manager->Commit(&reader).ok());
+  ASSERT_GT(reader.sli().inherited_count(), 0u);
+  ASSERT_EQ(reader.deferred_acks().outstanding(), 1u);
+
+  CounterSet rc;
+  {
+    ScopedCounterSet routed(&rc);
+    h.txn_manager->Begin(&reader);
+    ASSERT_TRUE(h.Lock(&reader, LockId::Table(0, 1), LockMode::kS).ok());
+    EXPECT_EQ(HorizonHarness::Dep(&reader), w_lsn);
+    ASSERT_TRUE(h.txn_manager->Commit(&reader).ok());
+  }
+  EXPECT_GE(rc.Get(Counter::kSliReclaimed), 1u);
+  EXPECT_EQ(reader.deferred_acks().outstanding(), 2u)
+      << "the reclaiming transaction was acknowledged before the writer it "
+         "read was durable";
+  h.Settle({&writer, &reader});
 }
 
 }  // namespace
